@@ -7,10 +7,13 @@ in this package and vanishes linearly at the square's edges, so the
 tail-exact form keeps deep-tail quadrature nodes meaningful where ``1 - u``
 is no longer representable in floating point.
 
-Sampling uses conditional inversion: U uniform, then V solved from the
-conditional CDF (closed-form partial derivative, vectorized bisection).
-The Gaussian family samples through the correlated-normal transform and
-the dependence extremes set V = U or V = 1 - U.
+Sampling uses conditional inversion: U and W uniform, then V solves
+``cond_cdf(U, V) = W`` through each family's exact ``cond_inverse``.  FGM
+and AMH invert a quadratic in V, taking the root in the form that avoids
+cancellation; Gumbel-Barnett solves a convex scalar equation in
+-log(1 - V) by a few vectorized Newton steps.  The Gaussian family samples
+through the correlated-normal transform and the dependence extremes set
+V = U or V = 1 - U.
 """
 
 from __future__ import annotations
@@ -23,11 +26,12 @@ import numpy as np
 from scipy import special as sp
 
 from .distributions import Distribution, Reflected
-from .errors import DomainError, UnsupportedOperationError
+from .errors import DomainError, NumericalError, UnsupportedOperationError
 from .estimation import PairedSample
 
 _UNIFORM_FLOOR = 1e-300  # keeps quantile transforms finite at u == 0
-_BISECT_ITERS = 48  # 2**-48 < 1e-12 conditional-inversion tolerance
+_UNIFORM_CEIL = 1.0 - 2.0**-53  # largest uniform draw; keeps v < 1 likewise
+_NEWTON_MAX_ITERS = 50  # Gumbel-Barnett took at most 5 steps over 10**6 draws
 
 
 def child_rng(seed: int, tag: str) -> np.random.Generator:
@@ -63,21 +67,19 @@ class Copula:
             f"{self.family} copula does not expose a conditional CDF"
         )
 
+    def cond_inverse(self, u, w):
+        """The v with cond_cdf(u, v) = w, elementwise."""
+        raise UnsupportedOperationError(
+            f"{self.family} copula does not expose a conditional inverse"
+        )
+
     def sample(self, n: int, rng: np.random.Generator):
         """n dependent uniform pairs via conditional inversion."""
         if n < 1:
             raise DomainError("sample size must be at least 1")
         u = np.maximum(rng.random(n), _UNIFORM_FLOOR)
         w = np.maximum(rng.random(n), _UNIFORM_FLOOR)
-        lo = np.zeros(n)
-        hi = np.ones(n)
-        for _ in range(_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            below = self.cond_cdf(u, mid) < w
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        v = np.maximum(0.5 * (lo + hi), _UNIFORM_FLOOR)
-        return u, v
+        return u, np.clip(self.cond_inverse(u, w), _UNIFORM_FLOOR, _UNIFORM_CEIL)
 
 
 @dataclass(frozen=True)
@@ -88,10 +90,8 @@ class Independence(Copula):
     def cond_cdf(self, u, v):
         return np.broadcast_to(np.asarray(v, dtype=float), np.broadcast_shapes(np.shape(u), np.shape(v)))
 
-    def sample(self, n, rng):
-        u = np.maximum(rng.random(n), _UNIFORM_FLOOR)
-        v = np.maximum(rng.random(n), _UNIFORM_FLOOR)
-        return u, v
+    def cond_inverse(self, u, w):
+        return w
 
 
 @dataclass(frozen=True)
@@ -109,6 +109,16 @@ class FGM(Copula):
 
     def cond_cdf(self, u, v):
         return v * (1.0 + self.gamma * (1.0 - 2.0 * u) * (1.0 - v))
+
+    def cond_inverse(self, u, w):
+        # root of a v^2 - (1 + a) v + w = 0, a = gamma (1 - 2u); the discriminant
+        # (1 + a)^2 - 4aw = (1 - a)^2 + 4a(1 - w) sums like-signed terms either way
+        g = self.gamma
+        a = g * (1.0 - 2.0 * u)
+        ap = (1.0 + g) - 2.0 * g * u  # 1 + a
+        am = (1.0 - g) + 2.0 * g * u  # 1 - a
+        disc = np.where(a > 0.0, am * am + 4.0 * a * (1.0 - w), ap * ap - 4.0 * a * w)
+        return 2.0 * w / (ap + np.sqrt(disc))
 
 
 @dataclass(frozen=True)
@@ -133,6 +143,28 @@ class GumbelBarnett(Copula):
         core = np.exp(-self.theta * np.log1p(-u) * lv)
         return 1.0 - (1.0 - v) * core * (1.0 - self.theta * lv)
 
+    def cond_inverse(self, u, w):
+        # f(s) = r s - log1p(theta s) - e = 0 in s = -log(1 - v); f is increasing
+        # and convex, f <= 0 at e / r and at the root of its quadratic lower bound
+        # (log1p(x) >= x - x^2/2), so Newton from the larger overshoots once at most
+        t = self.theta
+        lu = np.log1p(-u)
+        r = 1.0 - t * lu
+        slope0 = (1.0 - t) - t * lu  # f'(0) = r - theta, without cancellation
+        e = -np.log1p(-w)
+        s = np.maximum(
+            e / r, 2.0 * e / (slope0 + np.sqrt(slope0 * slope0 + 2.0 * t * t * e))
+        )
+        for _ in range(_NEWTON_MAX_ITERS):
+            ts = t * s
+            step = (r * s - np.log1p(ts) - e) / ((1.0 - t + ts) / (1.0 + ts) - t * lu)
+            s = s - step
+            if np.all(np.abs(step) <= 1e-14 * (1.0 + s)):
+                return -np.expm1(-s)
+        raise NumericalError(
+            f"Gumbel-Barnett inverse unconverged after {_NEWTON_MAX_ITERS} Newton steps"
+        )
+
 
 @dataclass(frozen=True)
 class AMH(Copula):
@@ -156,7 +188,25 @@ class AMH(Copula):
 
     def cond_cdf(self, u, v):
         d = self._denom(u, v)
-        return v * (1.0 - self.theta * (1.0 - v)) / (d * d)
+        return v * ((1.0 - self.theta) + self.theta * v) / (d * d)
+
+    def cond_inverse(self, u, w):
+        # c2 v^2 + p v - w A^2 = 0 with A = 1 - theta (1-u), B = theta (1-u),
+        # c2 = theta - w B^2, p = (1 - theta) - 2 w A B; q = p / A and root =
+        # sqrt(disc) / A avoid underflow near (theta, u) = (1, 0); c2 > 0 when
+        # q < 0, so each branch is the cancellation-free root for its sign of q
+        t = self.theta
+        uc = 1.0 - u
+        a = (1.0 - t) + t * u
+        if t >= 0.0:
+            disc = ((1.0 - t) / a) ** 2 + 4.0 * t * u * w / a
+        else:
+            disc = (((1.0 - t) + 2.0 * t * u) / a) ** 2 - 4.0 * t * u * (1.0 - w) / a
+        root = np.sqrt(disc)
+        q = (1.0 - t) / a - 2.0 * w * t * uc
+        c2 = t * ((1.0 - w) + w * ((1.0 - t) + t * u * (1.0 + uc)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return a * np.where(q >= 0.0, 2.0 * w / (q + root), (root - q) / (2.0 * c2))
 
 
 @dataclass(frozen=True)

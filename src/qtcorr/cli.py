@@ -74,10 +74,11 @@ def _config(args, tol_sets_quadrature: bool = True) -> IntegrationConfig:
     if abs_tol is None and tol_sets_quadrature:
         abs_tol = getattr(args, "tol", None)
     seed = getattr(args, "seed", None)
+    samples = getattr(args, "samples", None)
     return IntegrationConfig(
         method=method,
         abs_tol=abs_tol if abs_tol is not None else 1e-8,
-        mc_samples=getattr(args, "samples", None) or 10**6,
+        mc_samples=samples if samples is not None else 10**6,
         seed=seed if seed is not None else 42,
     )
 
@@ -174,11 +175,9 @@ def _cmd_decompose(args) -> int:
         raise DomainError("--components needs at least one distribution spec")
     system = StandbySystem(tuple(parse_distribution(tok) for tok in specs))
     g = parse_distribution(args.g)
-    samples = args.samples or 10**6
-    seed = args.seed if args.seed is not None else 42
     cfg = _config(args)
-    result = decompose(system, g, samples, seed, cfg)
-    report = subadditivity_report(system, samples, seed, cfg)
+    result = decompose(system, g, cfg.mc_samples, cfg.seed, cfg)
+    report = subadditivity_report(system, cfg.mc_samples, cfg.seed, cfg)
     residual = abs(result.total - result.mc_estimate)
     if args.format == "json":
         payload = {

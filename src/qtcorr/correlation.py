@@ -127,6 +127,14 @@ def _cov(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.cov(a, b, ddof=1)[0, 1])
 
 
+def _mc_ratio(z: np.ndarray, h_own: np.ndarray, h_other: np.ndarray):
+    """Directed Monte Carlo index Cov(z, h_other) / Cov(z, h_own) and its denominator."""
+    den = _cov(z, h_own)
+    if not den > 0.0:
+        raise DegenerateError("degenerate transformed-covariance denominator")
+    return _cov(z, h_other) / den, den
+
+
 def _rank_stratum_values(h: Distribution, column: np.ndarray) -> np.ndarray:
     """Transform-law quantiles evaluated as exact rank-stratum averages.
 
@@ -156,10 +164,7 @@ def beta_h(
     if cfg.method == "monte_carlo":
         u, v = _mc_uv(model, cfg, "correlation.beta_h")
         x = model.margin_x.quantile(u)
-        den = _cov(x, _rank_stratum_values(h, u))
-        if not den > 0.0:
-            raise DegenerateError("degenerate transformed-covariance denominator")
-        return _cov(x, _rank_stratum_values(h, v)) / den
+        return _mc_ratio(x, _rank_stratum_values(h, u), _rank_stratum_values(h, v))[0]
     den = g_covariance(model.margin_x, h, cfg)
     if den <= cfg.abs_tol:
         raise DegenerateError(
@@ -178,10 +183,7 @@ def beta_h_reversed(
     if cfg.method == "monte_carlo":
         u, v = _mc_uv(model, cfg, "correlation.beta_h")
         y = model.margin_y.quantile(v)
-        den = _cov(y, _rank_stratum_values(h, v))
-        if not den > 0.0:
-            raise DegenerateError("degenerate transformed-covariance denominator")
-        return _cov(y, _rank_stratum_values(h, u)) / den
+        return _mc_ratio(y, _rank_stratum_values(h, v), _rank_stratum_values(h, u))[0]
     den = g_covariance(model.margin_y, h, cfg)
     if den <= cfg.abs_tol:
         raise DegenerateError(
@@ -260,15 +262,19 @@ def fgm_beta_closed_form(
 
 
 def _symmetric_parts(model, spec, cfg):
+    if cfg.method == "monte_carlo":
+        # one draw serves both directions: the same stream beta_h and
+        # beta_h_reversed use, so the parts equal theirs bit for bit
+        u, v = _mc_uv(model, cfg, "correlation.beta_h")
+        hu = _rank_stratum_values(spec.h, u)
+        hv = _rank_stratum_values(spec.h, v)
+        b_xy, eta_x = _mc_ratio(model.margin_x.quantile(u), hu, hv)
+        b_yx, eta_y = _mc_ratio(model.margin_y.quantile(v), hv, hu)
+        return b_xy, b_yx, eta_x, eta_y
     b_xy = beta_h(model, spec, cfg)
     b_yx = beta_h_reversed(model, spec, cfg)
-    if cfg.method == "monte_carlo":
-        u, v = _mc_uv(model, cfg, "correlation.beta_h")
-        eta_x = _cov(model.margin_x.quantile(u), _rank_stratum_values(spec.h, u))
-        eta_y = _cov(model.margin_y.quantile(v), _rank_stratum_values(spec.h, v))
-    else:
-        eta_x = g_covariance(model.margin_x, spec.h, cfg)
-        eta_y = g_covariance(model.margin_y, spec.h, cfg)
+    eta_x = g_covariance(model.margin_x, spec.h, cfg)
+    eta_y = g_covariance(model.margin_y, spec.h, cfg)
     if not (eta_x > 0.0 and eta_y > 0.0):
         raise DegenerateError("degenerate transformed-covariance weight")
     return b_xy, b_yx, eta_x, eta_y

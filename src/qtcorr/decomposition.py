@@ -20,11 +20,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .bivariate import child_rng
 from .distributions import Distribution, Empirical
 from .errors import DomainError
+from .estimation import average_ranks
 from .measures import (
     DEFAULT_CONFIG,
     IntegrationConfig,
@@ -80,7 +80,7 @@ def _component_samples(system: StandbySystem, n: int, seed: int) -> np.ndarray:
 
 
 def _plug_in_ranks(values: np.ndarray) -> np.ndarray:
-    return rankdata(values, method="average") / (values.size + 1.0)
+    return average_ranks(values) / (values.size + 1.0)
 
 
 def _cov(a: np.ndarray, b: np.ndarray) -> float:

@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .distributions import Distribution
 from .errors import DegenerateError, DomainError, UnsupportedOperationError
@@ -62,9 +61,15 @@ def _warn_on_ties(column: np.ndarray, label: str) -> None:
         )
 
 
-def _plug_in_cdf(column: np.ndarray, label: str) -> np.ndarray:
-    _warn_on_ties(column, label)
-    return rankdata(column, method="average") / (column.size + 1.0)
+def average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of a nonempty array; each tied run gets its mean rank."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    bounds = np.append(np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]]), values.size)
+    ranks = np.empty(values.size)
+    # the run over sorted positions [i, j) holds the ranks i + 1 .. j
+    ranks[order] = np.repeat(0.5 * (bounds[:-1] + bounds[1:] + 1), np.diff(bounds))
+    return ranks
 
 
 def _cov(a: np.ndarray, b: np.ndarray) -> float:
@@ -87,8 +92,7 @@ def _transformed_ranks(h: Distribution, column: np.ndarray, label: str) -> np.nd
         upper = np.diff(h.quantile_integral_comp(np.arange(n - half + 1) / n))[::-1]
         cell_means = np.concatenate([lower, upper]) * n
     except UnsupportedOperationError:
-        ranks = rankdata(column, method="average")
-        return h.quantile(ranks / (n + 1.0))
+        return h.quantile(average_ranks(column) / (n + 1.0))
     order = np.empty(n, dtype=np.int64)
     order[np.argsort(column, kind="stable")] = np.arange(n)
     values = cell_means[order]
@@ -120,8 +124,8 @@ def _rho_t_hat(sample: PairedSample) -> float:
     n = sample.n
     xs = np.sort(sample.x)
     ys = np.sort(sample.y)
-    rx = rankdata(sample.x, method="average")
-    ry = rankdata(sample.y, method="average")
+    rx = average_ranks(sample.x)
+    ry = average_ranks(sample.y)
     # G_hat^{-1}(F_hat(x_i)) pairs each x with the y order statistic at x's rank.
     gyx = np.interp(rx, np.arange(1, n + 1), ys)
     fxy = np.interp(ry, np.arange(1, n + 1), xs)

@@ -8,6 +8,7 @@ import pytest
 from qtcorr.bivariate import (
     AMH,
     BivariateModel,
+    Copula,
     FGM,
     FrechetLower,
     FrechetUpper,
@@ -20,7 +21,7 @@ from qtcorr.bivariate import (
     reflect_y,
 )
 from qtcorr.distributions import Exponential, Logistic, Power, Uniform, Weibull
-from qtcorr.errors import DomainError, UnsupportedOperationError
+from qtcorr.errors import DomainError, NumericalError, UnsupportedOperationError
 
 CDF_FAMILIES = [
     Independence(),
@@ -181,6 +182,85 @@ def test_conditional_inversion_matches_cdf(cop):
         for gv in grid:
             emp = np.mean(inside_u & (v <= gv))
             assert abs(emp - cop.cdf(gu, gv)) <= 5e-3
+
+
+INVERSE_FAMILIES = [
+    FGM(1.0),
+    FGM(-1.0),
+    FGM(0.9),
+    AMH(1.0),
+    AMH(-1.0),
+    AMH(0.5),
+    GumbelBarnett(1.0),
+    GumbelBarnett(0.3),
+    GumbelBarnett(1e-6),
+]
+
+# probabilities within 1e-12 of both ends of the unit interval, and between
+EDGE_GRID = np.concatenate(
+    [[1e-15, 1e-12, 1e-6], np.linspace(0.01, 0.99, 49), [1 - 1e-6, 1 - 1e-12]]
+)
+
+
+def _bisection_inverse(cop, u, w, iters=48):
+    # reference conditional inversion: 2**-48 brackets on cond_cdf
+    lo = np.zeros_like(u)
+    hi = np.ones_like(u)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        below = cop.cond_cdf(u, mid) < w
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return np.maximum(0.5 * (lo + hi), 1e-300)
+
+
+@pytest.mark.parametrize("cop", INVERSE_FAMILIES, ids=lambda c: repr(c))
+def test_cond_inverse_solves_cond_cdf(cop):
+    u, w = (a.ravel() for a in np.meshgrid(EDGE_GRID, EDGE_GRID, indexing="ij"))
+    v = cop.cond_inverse(u, w)
+    assert np.all((v > 0.0) & (v < 1.0))
+    assert np.max(np.abs(cop.cond_cdf(u, v) - w)) <= 1e-12
+
+
+@pytest.mark.parametrize("cop", INVERSE_FAMILIES + [Independence()], ids=lambda c: repr(c))
+def test_sample_matches_bisection_oracle(cop):
+    n = 20_000
+    u, v = cop.sample(n, child_rng(17, "test.oracle"))
+    rng = child_rng(17, "test.oracle")
+    u_ref = np.maximum(rng.random(n), 1e-300)
+    w_ref = np.maximum(rng.random(n), 1e-300)
+    assert np.array_equal(u, u_ref)
+    assert np.max(np.abs(v - _bisection_inverse(cop, u_ref, w_ref))) <= 1e-12
+
+
+class _FixedDraws:
+    """Stand-in generator that hands out the given uniform columns in turn."""
+
+    def __init__(self, *columns):
+        self.columns = list(columns)
+
+    def random(self, n):
+        return self.columns.pop(0)
+
+
+@pytest.mark.parametrize("cop", INVERSE_FAMILIES, ids=lambda c: repr(c))
+def test_sample_stays_inside_the_open_square(cop):
+    # the largest uniform draw rounds the exact root to 1 for every family;
+    # v = 1 would send unbounded margins' quantiles to infinity
+    top = 1.0 - 2.0**-53
+    u = np.array([1e-300, 1e-16, 0.3, 0.5, 0.7, 1.0 - 1e-16, top])
+    _, v = cop.sample(u.size, _FixedDraws(u, np.full(u.size, top)))
+    assert v.min() >= 1e-300 and v.max() < 1.0
+
+
+def test_cond_inverse_unsupported_and_unconverged():
+    with pytest.raises(UnsupportedOperationError):
+        Copula().cond_inverse(0.5, 0.5)
+    with pytest.raises(UnsupportedOperationError):
+        GaussianCopula(0.5).cond_inverse(0.5, 0.5)
+    # w = 1 has no finite root in s = -log(1 - v): Newton must fail loudly
+    with pytest.raises(NumericalError), np.errstate(divide="ignore", invalid="ignore"):
+        GumbelBarnett(0.5).cond_inverse(np.array([0.5, 0.5]), np.array([0.5, 1.0]))
 
 
 def test_gaussian_sampler_margins_and_sign():

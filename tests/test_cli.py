@@ -4,10 +4,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qtcorr
 from qtcorr.cli import main
 from qtcorr.errors import NumericalError
 from qtcorr.tables import _cell
@@ -181,6 +185,32 @@ def test_decompose_csv(capsys):
     assert residual <= 3.0 * mc_se + 5e-3
     gmd_row = next(r for r in rows[1:] if r[1] == "gmd")
     assert float(gmd_row[4]) == pytest.approx(0.5, abs=0.05)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("corr", "--copula", "fgm:0.5", "--fx", "exp:1", "--gy", "exp:1",
+         "--h", "exp:1", "--method", "mc", "--samples", "0"),
+        ("decompose", "--components", "exp:1,exp:1", "--g", "exp:1", "--samples", "0"),
+    ],
+)
+def test_zero_samples_is_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "mc_samples" in err
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(qtcorr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, qtcorr.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_numerical_failure_exit_code(capsys):

@@ -355,6 +355,23 @@ def test_monte_carlo_agrees_with_quadrature_route():
         )
 
 
+def test_monte_carlo_symmetric_parts_share_one_draw(monkeypatch):
+    cfg = IntegrationConfig(method="monte_carlo", mc_samples=20_000, seed=9)
+    model = BivariateModel(AMH(-1.0), Logistic(0, 1), Exponential(1))
+    spec = named_transform("cre_based")
+    b_xy = beta_h(model, spec, cfg)
+    b_yx = beta_h_reversed(model, spec, cfg)
+    draws = []
+    sample = AMH.sample
+    monkeypatch.setattr(
+        AMH, "sample", lambda self, n, rng: draws.append(n) or sample(self, n, rng)
+    )
+    # same stream as the directed indices, so the parts agree bit for bit
+    assert symmetric_tau(model, spec, cfg) == 0.5 * (b_xy + b_yx)
+    assert min(b_xy, b_yx) <= symmetric_nu(model, spec, cfg) <= max(b_xy, b_yx)
+    assert draws == [20_000, 20_000]
+
+
 def test_gaussian_quadrature_is_rejected():
     model = BivariateModel(GaussianCopula(0.5), Normal(0, 1), Normal(0, 1))
     with pytest.raises(UnsupportedOperationError):

@@ -19,6 +19,7 @@ from qtcorr.distributions import Exponential, Logistic, Normal, Uniform
 from qtcorr.errors import DegenerateError, DomainError
 from qtcorr.estimation import (
     PairedSample,
+    average_ranks,
     estimate_beta_h,
     estimate_named,
     load_pairs_csv,
@@ -69,6 +70,19 @@ def test_ties_warn_and_average():
     y = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
     with pytest.warns(UserWarning, match="ties"):
         estimate_beta_h(PairedSample(x, y), named_transform("gini").h)
+
+
+@pytest.mark.parametrize("rounding", [None, 1, 0])
+def test_average_ranks_match_scipy(rounding):
+    from scipy.stats import rankdata
+
+    values = np.random.default_rng(4).normal(size=5000)
+    if rounding is not None:
+        values = np.round(values, rounding)  # long tied runs
+    assert np.array_equal(average_ranks(values), rankdata(values, method="average"))
+    for small in ([2.0], [1.0, 1.0, 1.0], [3.0, -1.0, 3.0, 0.0]):
+        small = np.array(small)
+        assert np.array_equal(average_ranks(small), rankdata(small, method="average"))
 
 
 def test_degenerate_sample_errors():
