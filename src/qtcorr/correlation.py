@@ -39,6 +39,7 @@ from .distributions import (
     Uniform,
 )
 from .errors import DegenerateError, DomainError, UnsupportedOperationError
+from .estimation import _cov, _rank_cell_means
 from .measures import DEFAULT_CONFIG, IntegrationConfig, g_covariance, gmd
 from .quadrature import unit_integral_2d
 
@@ -123,35 +124,12 @@ def _mc_uv(model: BivariateModel, cfg: IntegrationConfig, tag: str):
     return model.copula.sample(cfg.mc_samples, rng)
 
 
-def _cov(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.cov(a, b, ddof=1)[0, 1])
-
-
 def _mc_ratio(z: np.ndarray, h_own: np.ndarray, h_other: np.ndarray):
     """Directed Monte Carlo index Cov(z, h_other) / Cov(z, h_own) and its denominator."""
     den = _cov(z, h_own)
     if not den > 0.0:
         raise DegenerateError("degenerate transformed-covariance denominator")
     return _cov(z, h_other) / den, den
-
-
-def _rank_stratum_values(h: Distribution, column: np.ndarray) -> np.ndarray:
-    """Transform-law quantiles evaluated as exact rank-stratum averages.
-
-    Element i gets the mean of H^{-1} over the rank(i)-th of n equal
-    probability cells.  Plain pointwise H^{-1}(v) has infinite variance for
-    heavy-tailed H (the sub-unit-weight extended-Gini laws), which sinks
-    the Monte Carlo covariance; averaging the tail cell exactly bounds the
-    kernel while keeping the same limit.
-    """
-    n = column.size
-    half = n // 2
-    lower = np.diff(h.quantile_integral(np.arange(half + 1) / n))
-    upper = np.diff(h.quantile_integral_comp(np.arange(n - half + 1) / n))[::-1]
-    cell_means = np.concatenate([lower, upper]) * n
-    ranks = np.empty(n, dtype=np.int64)
-    ranks[np.argsort(column, kind="stable")] = np.arange(n)
-    return cell_means[ranks]
 
 
 def beta_h(
@@ -164,7 +142,7 @@ def beta_h(
     if cfg.method == "monte_carlo":
         u, v = _mc_uv(model, cfg, "correlation.beta_h")
         x = model.margin_x.quantile(u)
-        return _mc_ratio(x, _rank_stratum_values(h, u), _rank_stratum_values(h, v))[0]
+        return _mc_ratio(x, _rank_cell_means(h, u), _rank_cell_means(h, v))[0]
     den = g_covariance(model.margin_x, h, cfg)
     if den <= cfg.abs_tol:
         raise DegenerateError(
@@ -183,7 +161,7 @@ def beta_h_reversed(
     if cfg.method == "monte_carlo":
         u, v = _mc_uv(model, cfg, "correlation.beta_h")
         y = model.margin_y.quantile(v)
-        return _mc_ratio(y, _rank_stratum_values(h, v), _rank_stratum_values(h, u))[0]
+        return _mc_ratio(y, _rank_cell_means(h, v), _rank_cell_means(h, u))[0]
     den = g_covariance(model.margin_y, h, cfg)
     if den <= cfg.abs_tol:
         raise DegenerateError(
@@ -266,8 +244,8 @@ def _symmetric_parts(model, spec, cfg):
         # one draw serves both directions: the same stream beta_h and
         # beta_h_reversed use, so the parts equal theirs bit for bit
         u, v = _mc_uv(model, cfg, "correlation.beta_h")
-        hu = _rank_stratum_values(spec.h, u)
-        hv = _rank_stratum_values(spec.h, v)
+        hu = _rank_cell_means(spec.h, u)
+        hv = _rank_cell_means(spec.h, v)
         b_xy, eta_x = _mc_ratio(model.margin_x.quantile(u), hu, hv)
         b_yx, eta_y = _mc_ratio(model.margin_y.quantile(v), hv, hu)
         return b_xy, b_yx, eta_x, eta_y

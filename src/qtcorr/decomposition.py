@@ -24,7 +24,7 @@ import numpy as np
 from .bivariate import child_rng
 from .distributions import Distribution, Empirical
 from .errors import DomainError
-from .estimation import average_ranks
+from .estimation import _cov, _rank_cell_means
 from .measures import (
     DEFAULT_CONFIG,
     IntegrationConfig,
@@ -79,14 +79,6 @@ def _component_samples(system: StandbySystem, n: int, seed: int) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _plug_in_ranks(values: np.ndarray) -> np.ndarray:
-    return average_ranks(values) / (values.size + 1.0)
-
-
-def _cov(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.cov(a, b, ddof=1)[0, 1])
-
-
 def decompose(
     system: StandbySystem,
     g: Distribution,
@@ -110,10 +102,10 @@ def decompose(
 
     xs = _component_samples(system, mc_samples, seed)
     t = xs.sum(axis=0)
-    gt = g.quantile(_plug_in_ranks(t))
+    gt = _rank_cell_means(g, t)
     betas = []
     for i in range(system.n):
-        den = _cov(xs[i], g.quantile(_plug_in_ranks(xs[i])))
+        den = _cov(xs[i], _rank_cell_means(g, xs[i]))
         if not den > 0.0:
             raise DomainError(f"component {i} has a degenerate lifetime law")
         betas.append(_cov(xs[i], gt) / den)
@@ -122,7 +114,7 @@ def decompose(
     # Independent plug-in estimate of C(T, Y) with batch-means errors.
     mc_estimate = _cov(t, gt)
     batch = np.array_split(t, _N_BATCHES)
-    est_b = [_cov(tb, g.quantile(_plug_in_ranks(tb))) for tb in batch]
+    est_b = [_cov(tb, _rank_cell_means(g, tb)) for tb in batch]
     mc_se = float(np.std(est_b, ddof=1) / math.sqrt(_N_BATCHES))
     return DecompositionResult(
         tuple((float(b), float(c)) for b, c in zip(betas, c_terms)),

@@ -1,17 +1,20 @@
 """Rank-based plug-in estimation of the transformed correlations.
 
 The estimators replace the population marginal CDFs by ranks and the
-population covariances by sample covariances.  Transform-law quantiles
-are evaluated as exact averages over each rank's probability cell when
-the law provides closed-form partial quantile integrals; this keeps the
-values finite for unbounded laws and, unlike the bare rank / (n + 1)
+population covariances by sample covariances.  Each column is sorted
+once, and its order and runs of tied values serve every rank it needs.
+
+Transform-law quantiles are exact averages over each rank's probability
+cell when the law has closed-form partial quantile integrals; this keeps
+the values finite for unbounded laws and, unlike the bare rank / (n + 1)
 plug-in, stays unbiased enough for heavy-tailed transforms whose
 pointwise quantiles have infinite variance.  Laws without partial
-integrals fall back to H^{-1}(rank / (n + 1)).
+integrals fall back to H^{-1}(rank / (n + 1)).  The Monte Carlo indices
+and the standby decomposition use the same rank-cell means.
 
-Ties get average ranks (cell averages pooled over the tied block) and
-emit a warning; the underlying theory assumes continuous laws, so ties
-carry zero probability under any model but do occur in real data.
+Ties have zero probability under continuous laws but occur in real data:
+a tied run shares one value (the mean of its cells, or the value at its
+average rank), and each plug-in warns once per tied column at the caller.
 
 No bias correction or interval machinery is attempted here: this is the
 straight plug-in, one defensible choice among several (jackknifed or
@@ -21,6 +24,7 @@ U-statistic variants would be equally natural).
 from __future__ import annotations
 
 import csv
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -54,37 +58,64 @@ class PairedSample:
         return int(self.x.size)
 
 
-def _warn_on_ties(column: np.ndarray, label: str) -> None:
-    if np.unique(column).size < column.size:
-        warnings.warn(
-            f"ties in the {label} column resolved by average ranks", stacklevel=4
-        )
+def _warn_ties(label: str) -> None:
+    # attribute the warning to the first frame outside this module
+    frame, level = sys._getframe(), 1
+    while frame is not None and frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(f"ties in the {label} column resolved by average ranks", stacklevel=level)
+
+
+def _sorted_runs(column: np.ndarray, label: str | None = None):
+    """One sort of a column: (order, sorted values, tied-run bounds or None).
+
+    Tied runs are the sorted positions [bounds[k], bounds[k + 1]); the sort
+    need not be stable, since a tied run shares one value.  Ties in a
+    column named by a label warn.
+    """
+    order = np.argsort(column)
+    ordered = column[order]
+    distinct = ordered[1:] != ordered[:-1]
+    bounds = None
+    if not distinct.all():
+        bounds = np.append(np.flatnonzero(np.r_[True, distinct]), column.size)
+        if label is not None:
+            _warn_ties(label)
+    return order, ordered, bounds
+
+
+def _pooled(sorted_values: np.ndarray, bounds: np.ndarray | None) -> np.ndarray:
+    """Sorted-order values with each tied run replaced by its mean."""
+    if bounds is None:
+        return sorted_values
+    sizes = np.diff(bounds)
+    return np.repeat(np.add.reduceat(sorted_values, bounds[:-1]) / sizes, sizes)
+
+
+def _unsorted(order: np.ndarray, sorted_values: np.ndarray) -> np.ndarray:
+    out = np.empty(order.size)
+    out[order] = sorted_values
+    return out
 
 
 def average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks of a nonempty array; each tied run gets its mean rank."""
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    bounds = np.append(np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]]), values.size)
-    ranks = np.empty(values.size)
-    # the run over sorted positions [i, j) holds the ranks i + 1 .. j
-    ranks[order] = np.repeat(0.5 * (bounds[:-1] + bounds[1:] + 1), np.diff(bounds))
-    return ranks
+    order, _, bounds = _sorted_runs(values)
+    return _unsorted(order, _pooled(np.arange(1.0, values.size + 1.0), bounds))
 
 
 def _cov(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.cov(a, b, ddof=1)[0, 1])
 
 
-def _transformed_ranks(h: Distribution, column: np.ndarray, label: str) -> np.ndarray:
-    """H^{-1} evaluated at the plug-in ranks of a column.
+def _rank_cell_means(h: Distribution, column: np.ndarray, label: str | None = None):
+    """H^{-1} at the plug-in ranks of a column, as exact rank-cell means.
 
-    Preferred route: the exact average of H^{-1} over each rank's
-    probability cell (tied blocks share their pooled average).  Falls back
-    to pointwise H^{-1}(rank / (n + 1)) when the law has no closed-form
-    partial quantile integral.
+    Element i gets the mean of H^{-1} over the rank(i)-th of n equal
+    probability cells; a tied run shares the mean of its cells.  Exact tail
+    cells bound the kernel for heavy-tailed H (pointwise: infinite variance).
     """
-    _warn_on_ties(column, label)
+    order, _, bounds = _sorted_runs(column, label)
     n = column.size
     try:
         half = n // 2
@@ -92,16 +123,8 @@ def _transformed_ranks(h: Distribution, column: np.ndarray, label: str) -> np.nd
         upper = np.diff(h.quantile_integral_comp(np.arange(n - half + 1) / n))[::-1]
         cell_means = np.concatenate([lower, upper]) * n
     except UnsupportedOperationError:
-        return h.quantile(average_ranks(column) / (n + 1.0))
-    order = np.empty(n, dtype=np.int64)
-    order[np.argsort(column, kind="stable")] = np.arange(n)
-    values = cell_means[order]
-    _, inverse, counts = np.unique(column, return_inverse=True, return_counts=True)
-    if counts.max() > 1:
-        sums = np.zeros(counts.size)
-        np.add.at(sums, inverse, values)
-        values = (sums / counts)[inverse]
-    return values
+        return _unsorted(order, h.quantile(_pooled(np.arange(1.0, n + 1.0), bounds) / (n + 1.0)))
+    return _unsorted(order, _pooled(cell_means, bounds))
 
 
 def estimate_beta_h(sample: PairedSample, h: Distribution) -> float:
@@ -111,24 +134,30 @@ def estimate_beta_h(sample: PairedSample, h: Distribution) -> float:
     (x, H^{-1}(F_hat(x))); exactly 1 on comonotone data and invariant
     under strictly increasing transforms of the y column.
     """
-    tx = _transformed_ranks(h, sample.x, "x")
-    ty = _transformed_ranks(h, sample.y, "y")
+    tx = _rank_cell_means(h, sample.x, "x")
+    ty = _rank_cell_means(h, sample.y, "y")
     den = _cov(sample.x, tx)
     if not den > 0.0:
         raise DegenerateError("degenerate plug-in denominator")
     return _cov(sample.x, ty) / den
 
 
+def _at_average_ranks(order, bounds, other_sorted: np.ndarray) -> np.ndarray:
+    """other_sorted[rank - 1] per element; a tied run reads np.interp at its average rank."""
+    if bounds is not None:
+        twice_mid = bounds[:-1] + bounds[1:] - 1
+        mid = 0.5 * (other_sorted[twice_mid // 2] + other_sorted[(twice_mid + 1) // 2])
+        other_sorted = np.repeat(mid, np.diff(bounds))
+    return _unsorted(order, other_sorted)
+
+
 def _rho_t_hat(sample: PairedSample) -> float:
     # Q-transform plug-in: empirical quantiles paired through ranks.
-    n = sample.n
-    xs = np.sort(sample.x)
-    ys = np.sort(sample.y)
-    rx = average_ranks(sample.x)
-    ry = average_ranks(sample.y)
+    ox, xs, bx = _sorted_runs(sample.x, "x")
+    oy, ys, by = _sorted_runs(sample.y, "y")
     # G_hat^{-1}(F_hat(x_i)) pairs each x with the y order statistic at x's rank.
-    gyx = np.interp(rx, np.arange(1, n + 1), ys)
-    fxy = np.interp(ry, np.arange(1, n + 1), xs)
+    gyx = _at_average_ranks(ox, bx, ys)
+    fxy = _at_average_ranks(oy, by, xs)
     den = _cov(sample.x, gyx) * _cov(sample.y, fxy)
     if not den > 0.0:
         raise DegenerateError("degenerate plug-in denominator")

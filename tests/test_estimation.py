@@ -15,10 +15,19 @@ from qtcorr.bivariate import (
     Independence,
 )
 from qtcorr.correlation import beta_h, named_transform
-from qtcorr.distributions import Exponential, Logistic, Normal, Uniform
-from qtcorr.errors import DegenerateError, DomainError
+from qtcorr.distributions import (
+    Empirical,
+    Exponential,
+    Logistic,
+    Normal,
+    Pareto,
+    Power,
+    Uniform,
+)
+from qtcorr.errors import DegenerateError, DomainError, UnsupportedOperationError
 from qtcorr.estimation import (
     PairedSample,
+    _rank_cell_means,
     average_ranks,
     estimate_beta_h,
     estimate_named,
@@ -172,3 +181,158 @@ def test_load_pairs_csv_reports_bad_lines(tmp_path):
         load_pairs_csv(str(path))
     message = str(err.value)
     assert "2" in message and "3" in message and "5" in message
+
+
+# -- one sort per column: oracles, counts, warnings ----------------------------
+
+
+def _rankdata(values):
+    from scipy.stats import rankdata
+
+    return rankdata(values, method="average")
+
+
+def _oracle_rank_cell_means(h, column):
+    """Former implementation: stable argsort, np.unique pooling, np.add.at."""
+    n = column.size
+    try:
+        half = n // 2
+        lower = np.diff(h.quantile_integral(np.arange(half + 1) / n))
+        upper = np.diff(h.quantile_integral_comp(np.arange(n - half + 1) / n))[::-1]
+        cell_means = np.concatenate([lower, upper]) * n
+    except UnsupportedOperationError:
+        return h.quantile(_rankdata(column) / (n + 1.0))
+    order = np.empty(n, dtype=np.int64)
+    order[np.argsort(column, kind="stable")] = np.arange(n)
+    values = cell_means[order]
+    _, inverse, counts = np.unique(column, return_inverse=True, return_counts=True)
+    if counts.max() > 1:
+        sums = np.zeros(counts.size)
+        np.add.at(sums, inverse, values)
+        values = (sums / counts)[inverse]
+    return values
+
+
+def _oracle_rank_stratum_values(h, column):
+    """Former Monte Carlo helper: cell means at stable-argsort ranks, no pooling."""
+    n = column.size
+    half = n // 2
+    lower = np.diff(h.quantile_integral(np.arange(half + 1) / n))
+    upper = np.diff(h.quantile_integral_comp(np.arange(n - half + 1) / n))[::-1]
+    cell_means = np.concatenate([lower, upper]) * n
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[np.argsort(column, kind="stable")] = np.arange(n)
+    return cell_means[ranks]
+
+
+def _oracle_rho_t_hat(sample):
+    """Former rho_t plug-in: order statistics read by np.interp at average ranks."""
+    n = sample.n
+    gyx = np.interp(_rankdata(sample.x), np.arange(1, n + 1), np.sort(sample.y))
+    fxy = np.interp(_rankdata(sample.y), np.arange(1, n + 1), np.sort(sample.x))
+    den = np.cov(sample.x, gyx)[0, 1] * np.cov(sample.y, fxy)[0, 1]
+    return np.cov(sample.x, sample.y)[0, 1] / np.sqrt(den)
+
+
+def _tied_columns():
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=4000)
+    y = np.exp(0.6 * x + rng.normal(size=4000))
+    yield x, y  # untied
+    for decimals in (1, 0):
+        yield np.round(x, decimals), np.round(y, decimals)
+
+
+_ORACLE_LAWS = [
+    Uniform(0, 1),
+    Exponential(1),
+    Logistic(0, 1),
+    Pareto(0.5),
+    Power(3.0),
+    Empirical(np.random.default_rng(3).gamma(2.0, size=300)),  # no partial integrals
+]
+
+
+@pytest.mark.parametrize("h", _ORACLE_LAWS, ids=lambda h: h.name)
+def test_rank_cell_means_match_former_implementation(h):
+    for x, y in _tied_columns():
+        for column in (x, y):
+            got = _rank_cell_means(h, column)
+            np.testing.assert_allclose(got, _oracle_rank_cell_means(h, column), rtol=1e-14)
+
+
+def test_rho_t_matches_interp_oracle():
+    for x, y in _tied_columns():
+        sample = PairedSample(x, y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = estimate_named(sample, "rho_t")
+        assert got == pytest.approx(_oracle_rho_t_hat(sample), rel=1e-14, abs=0.0)
+
+
+def test_rank_cell_means_equal_former_monte_carlo_helper_bit_for_bit():
+    for copula in (FGM(1.0), AMH(-1.0), GumbelBarnett(1.0), GaussianCopula(0.5)):
+        u, v = copula.sample(50_000, np.random.default_rng(5))
+        for h in (Exponential(1), Pareto(0.5), Logistic(0, 1)):
+            for column in (u, v):
+                assert np.array_equal(
+                    _rank_cell_means(h, column), _oracle_rank_stratum_values(h, column)
+                )
+
+
+def _counting(monkeypatch, calls, name):
+    original = getattr(np, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, name, counted)
+
+
+@pytest.mark.parametrize("which", ["gini", "rho_t"])
+def test_one_sort_per_column(monkeypatch, which):
+    rng = np.random.default_rng(8)
+    x = np.round(rng.normal(size=10_000), 1)
+    sample = PairedSample(x, np.round(x + rng.normal(size=10_000), 1))
+    argsorts, others = [], []
+    _counting(monkeypatch, argsorts, "argsort")
+    _counting(monkeypatch, others, "unique")
+    _counting(monkeypatch, others, "interp")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        estimate_named(sample, which)
+    assert len(argsorts) == 2
+    assert others == []
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: estimate_beta_h(s, named_transform("gini").h),
+        lambda s: estimate_named(s, "gini"),
+        lambda s: estimate_named(s, "rho_t"),
+    ],
+    ids=["estimate_beta_h", "gini", "rho_t"],
+)
+def test_tie_warning_names_the_callers_line(call):
+    sample = PairedSample(
+        np.array([1.0, 2.0, 2.0, 3.0, 4.0]), np.array([1.0, 1.0, 3.0, 4.0, 5.0])
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call(sample)
+    assert [str(w.message) for w in caught] == [
+        "ties in the x column resolved by average ranks",
+        "ties in the y column resolved by average ranks",
+    ]
+    assert all(w.filename == __file__ for w in caught)
+
+
+def test_untied_sample_does_not_warn():
+    rng = np.random.default_rng(9)
+    sample = PairedSample(rng.normal(size=500), rng.normal(size=500))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for which in ("gini", "rho_t", "pearson"):
+            estimate_named(sample, which)
