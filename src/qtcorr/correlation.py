@@ -18,12 +18,15 @@ one, and Pareto/power H the extended Gini family.  H = G gives a
 variance-free Pearson variant whose magnitude dominates Pearson's.
 
 Models built on the Gaussian copula have no closed-form copula CDF here
-and must use the Monte Carlo method (see ``default_config_for``).
+and must use the Monte Carlo method (see ``default_config_for``).  Every
+Monte Carlo index of a model reads one seeded sample, drawn and ranked once
+per (model, sample size, seed); the last model's sample is retained.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -119,9 +122,41 @@ def default_config_for(
     return cfg
 
 
-def _mc_uv(model: BivariateModel, cfg: IntegrationConfig, tag: str):
-    rng = child_rng(cfg.seed, tag)
-    return model.copula.sample(cfg.mc_samples, rng)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class _Sample:
+    """One seeded draw of a model's (U, V), shared by its Monte Carlo indices.
+
+    X, Y and the rank-cell means of each transform law are computed on first
+    use; every array is read-only, since later indices read the same ones.
+    """
+
+    def __init__(self, model: BivariateModel, n: int, seed: int):
+        self._model = model
+        rng = child_rng(seed, "correlation.beta_h")  # the tag fixes every MC value
+        self.u, self.v = map(_read_only, model.copula.sample(n, rng))
+        self._cells: dict[Distribution, tuple[np.ndarray, ...]] = {}
+
+    @functools.cached_property
+    def x(self) -> np.ndarray:
+        return _read_only(self._model.margin_x.quantile(self.u))
+
+    @functools.cached_property
+    def y(self) -> np.ndarray:
+        return _read_only(self._model.margin_y.quantile(self.v))
+
+    def cells(self, h: Distribution) -> tuple[np.ndarray, ...]:
+        """H^{-1} rank-cell means at the ranks of u and of v."""
+        if h not in self._cells:
+            self._cells[h] = tuple(_read_only(_rank_cell_means(h, c)) for c in (self.u, self.v))
+        return self._cells[h]
+
+
+# keyed on (model, n, seed); holds one sample, the last model's
+_mc_sample = functools.lru_cache(maxsize=1)(_Sample)
 
 
 def _mc_ratio(z: np.ndarray, h_own: np.ndarray, h_other: np.ndarray):
@@ -140,9 +175,9 @@ def beta_h(
     """H-transformed correlation of (X, Y) under the model."""
     h = spec.h
     if cfg.method == "monte_carlo":
-        u, v = _mc_uv(model, cfg, "correlation.beta_h")
-        x = model.margin_x.quantile(u)
-        return _mc_ratio(x, _rank_cell_means(h, u), _rank_cell_means(h, v))[0]
+        s = _mc_sample(model, cfg.mc_samples, cfg.seed)
+        hu, hv = s.cells(h)
+        return _mc_ratio(s.x, hu, hv)[0]
     den = g_covariance(model.margin_x, h, cfg)
     if den <= cfg.abs_tol:
         raise DegenerateError(
@@ -159,9 +194,9 @@ def beta_h_reversed(
     """H-transformed correlation with the roles of X and Y exchanged."""
     h = spec.h
     if cfg.method == "monte_carlo":
-        u, v = _mc_uv(model, cfg, "correlation.beta_h")
-        y = model.margin_y.quantile(v)
-        return _mc_ratio(y, _rank_cell_means(h, v), _rank_cell_means(h, u))[0]
+        s = _mc_sample(model, cfg.mc_samples, cfg.seed)
+        hu, hv = s.cells(h)
+        return _mc_ratio(s.y, hv, hu)[0]
     den = g_covariance(model.margin_y, h, cfg)
     if den <= cfg.abs_tol:
         raise DegenerateError(
@@ -173,13 +208,11 @@ def beta_h_reversed(
 def pearson(model: BivariateModel, cfg: IntegrationConfig = DEFAULT_CONFIG) -> float:
     """Pearson correlation, with Cov(X, Y) via the dependence integral."""
     if cfg.method == "monte_carlo":
-        u, v = _mc_uv(model, cfg, "correlation.pearson")
-        x = model.margin_x.quantile(u)
-        y = model.margin_y.quantile(v)
-        sx, sy = np.std(x, ddof=1), np.std(y, ddof=1)
+        s = _mc_sample(model, cfg.mc_samples, cfg.seed)
+        sx, sy = np.std(s.x, ddof=1), np.std(s.y, ddof=1)
         if not (sx > 0.0 and sy > 0.0):
             raise DegenerateError("zero sample variance")
-        return _cov(x, y) / float(sx * sy)
+        return _cov(s.x, s.y) / float(sx * sy)
     var_x = g_covariance(model.margin_x, model.margin_x, cfg)
     var_y = g_covariance(model.margin_y, model.margin_y, cfg)
     if min(var_x, var_y) <= cfg.abs_tol:
@@ -195,14 +228,12 @@ def rho_t(model: BivariateModel, cfg: IntegrationConfig = DEFAULT_CONFIG) -> flo
     the standard deviations, so |rho_t| >= |pearson| always.
     """
     if cfg.method == "monte_carlo":
-        u, v = _mc_uv(model, cfg, "correlation.rho_t")
-        x = model.margin_x.quantile(u)
-        y = model.margin_y.quantile(v)
-        d1 = _cov(x, model.margin_y.quantile(u))
-        d2 = _cov(y, model.margin_x.quantile(v))
+        s = _mc_sample(model, cfg.mc_samples, cfg.seed)
+        d1 = _cov(s.x, model.margin_y.quantile(s.u))
+        d2 = _cov(s.y, model.margin_x.quantile(s.v))
         if not (d1 > 0.0 and d2 > 0.0):
             raise DegenerateError("degenerate coupled-covariance denominator")
-        return _cov(x, y) / math.sqrt(d1 * d2)
+        return _cov(s.x, s.y) / math.sqrt(d1 * d2)
     d1 = g_covariance(model.margin_x, model.margin_y, cfg)
     d2 = g_covariance(model.margin_y, model.margin_x, cfg)
     if min(d1, d2) <= cfg.abs_tol:
@@ -241,13 +272,11 @@ def fgm_beta_closed_form(
 
 def _symmetric_parts(model, spec, cfg):
     if cfg.method == "monte_carlo":
-        # one draw serves both directions: the same stream beta_h and
-        # beta_h_reversed use, so the parts equal theirs bit for bit
-        u, v = _mc_uv(model, cfg, "correlation.beta_h")
-        hu = _rank_cell_means(spec.h, u)
-        hv = _rank_cell_means(spec.h, v)
-        b_xy, eta_x = _mc_ratio(model.margin_x.quantile(u), hu, hv)
-        b_yx, eta_y = _mc_ratio(model.margin_y.quantile(v), hv, hu)
+        # the sample beta_h and beta_h_reversed read, so the parts equal theirs
+        s = _mc_sample(model, cfg.mc_samples, cfg.seed)
+        hu, hv = s.cells(spec.h)
+        b_xy, eta_x = _mc_ratio(s.x, hu, hv)
+        b_yx, eta_y = _mc_ratio(s.y, hv, hu)
         return b_xy, b_yx, eta_x, eta_y
     b_xy = beta_h(model, spec, cfg)
     b_yx = beta_h_reversed(model, spec, cfg)

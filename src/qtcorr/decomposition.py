@@ -171,12 +171,11 @@ def subadditivity_report(
 
     xs = _component_samples(system, mc_samples, seed)
     t = xs.sum(axis=0)
-    t_batches = np.array_split(t, _N_BATCHES)
+    t_law = Empirical(t)
+    batch_laws = [Empirical(tb) for tb in np.array_split(t, _N_BATCHES)]
 
     def batched(fn):
-        full = fn(Empirical(t))
-        per = [fn(Empirical(tb)) for tb in t_batches]
-        return full, per
+        return fn(t_law), [fn(d) for d in batch_laws]
 
     rows = []
     # Var(T) <= sum_i C(X_i, T): both sides depend on the system sample.

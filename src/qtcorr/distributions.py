@@ -131,6 +131,13 @@ class Distribution:
             raise DomainError(f"quantile_integral_comp requires q in [0, 1], got {q!r}")
         return _ret(self._quantile_integral_comp(arr), scalar)
 
+    def cell_means(self, n: int) -> np.ndarray:
+        """Mean quantile over each of n equal probability cells, n * dQI(k / n)."""
+        half = n // 2
+        lower = np.diff(self.quantile_integral(np.arange(half + 1) / n))
+        upper = np.diff(self.quantile_integral_comp(np.arange(n - half + 1) / n))[::-1]
+        return np.concatenate([lower, upper]) * n
+
     # -- law-specific hooks (arrays in, arrays out, interior points only) --
 
     def _cdf(self, x):

@@ -118,10 +118,7 @@ def _rank_cell_means(h: Distribution, column: np.ndarray, label: str | None = No
     order, _, bounds = _sorted_runs(column, label)
     n = column.size
     try:
-        half = n // 2
-        lower = np.diff(h.quantile_integral(np.arange(half + 1) / n))
-        upper = np.diff(h.quantile_integral_comp(np.arange(n - half + 1) / n))[::-1]
-        cell_means = np.concatenate([lower, upper]) * n
+        cell_means = h.cell_means(n)
     except UnsupportedOperationError:
         return _unsorted(order, h.quantile(_pooled(np.arange(1.0, n + 1.0), bounds) / (n + 1.0)))
     return _unsorted(order, _pooled(cell_means, bounds))

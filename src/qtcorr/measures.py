@@ -30,7 +30,7 @@ from .distributions import (
     Uniform,
     Weibull,
 )
-from .errors import DomainError
+from .errors import DomainError, UnsupportedOperationError
 from .quadrature import unit_integral
 
 
@@ -80,9 +80,13 @@ def _empirical_pair_integral(f: Empirical, g: Empirical) -> float:
 
 
 def _empirical_mixed_integral(emp: Empirical, other: Distribution) -> float:
-    # Midpoint rule on the empirical grid; the step side is exact per cell.
-    mids = (np.arange(emp.n) + 0.5) / emp.n
-    return float(np.mean(emp.values * other.quantile(mids)))
+    # Exact per cell of the empirical grid: the step side is constant there and
+    # the other law enters by its cell mean (midpoint rule without one).
+    try:
+        other_cells = other.cell_means(emp.n)
+    except UnsupportedOperationError:
+        other_cells = other.quantile((np.arange(emp.n) + 0.5) / emp.n)
+    return float(np.mean(emp.values * other_cells))
 
 
 def cov_with_unit_transform(

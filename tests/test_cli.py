@@ -90,6 +90,27 @@ def test_corr_gaussian_defaults_to_monte_carlo(capsys):
     assert float(lines["beta_xy"]) == pytest.approx(0.6, abs=0.01)
 
 
+def test_corr_all_monte_carlo_draws_once(capsys, monkeypatch):
+    from qtcorr.bivariate import GaussianCopula
+    from qtcorr.correlation import _mc_sample
+
+    draws = []
+    sample = GaussianCopula.sample
+    monkeypatch.setattr(
+        GaussianCopula, "sample", lambda self, n, rng: draws.append(n) or sample(self, n, rng)
+    )
+    _mc_sample.cache_clear()
+    code, out, _ = run_cli(
+        capsys,
+        "corr", "--copula", "gaussian:0.6",
+        "--fx", "normal:0:1", "--gy", "normal:0:1", "--h", "exp:1",
+        "--all", "--samples", "20000",
+    )
+    assert code == 0
+    assert len(out.strip().splitlines()) == 7
+    assert draws == [20_000]
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run_cli(
         capsys, "corr", "--copula", "gb:oops", "--fx", "exp:1", "--gy", "exp:1", "--h", "exp:1"

@@ -19,6 +19,7 @@ from qtcorr.bivariate import (
 )
 from qtcorr.correlation import (
     CorrelationSpec,
+    _mc_sample,
     beta_h,
     beta_h_reversed,
     default_config_for,
@@ -369,7 +370,73 @@ def test_monte_carlo_symmetric_parts_share_one_draw(monkeypatch):
     # same stream as the directed indices, so the parts agree bit for bit
     assert symmetric_tau(model, spec, cfg) == 0.5 * (b_xy + b_yx)
     assert min(b_xy, b_yx) <= symmetric_nu(model, spec, cfg) <= max(b_xy, b_yx)
-    assert draws == [20_000, 20_000]
+    assert draws == []
+
+
+def _all_indices(model, spec, cfg):
+    directed = [f(model, spec, cfg) for f in (beta_h, beta_h_reversed)]
+    paired = [f(model, cfg) for f in (pearson, rho_t)]
+    symmetric = [f(model, spec, cfg) for f in (symmetric_tau, symmetric_nu, symmetric_nu_bar)]
+    return directed + paired + symmetric
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        BivariateModel(FGM(0.7), Exponential(1), Normal(0, 1)),
+        BivariateModel(GaussianCopula(0.6), Normal(0, 1), Logistic(0, 1)),
+    ],
+)
+def test_monte_carlo_indices_of_a_model_draw_once(monkeypatch, model):
+    cfg = IntegrationConfig(method="monte_carlo", mc_samples=5_000, seed=3)
+    family = type(model.copula)
+    draws = []
+    sample = family.sample
+    monkeypatch.setattr(
+        family, "sample", lambda self, n, rng: draws.append(n) or sample(self, n, rng)
+    )
+    _mc_sample.cache_clear()
+    _all_indices(model, named_transform("gini"), cfg)
+    # a second transform law ranks again but draws nothing
+    _all_indices(model, named_transform("egini", 0.5), cfg)
+    assert draws == [5_000]
+
+
+def test_monte_carlo_memo_matches_cleared_cache_when_interleaved():
+    models = [
+        BivariateModel(AMH(-1.0), Logistic(0, 1), Exponential(1)),
+        BivariateModel(GumbelBarnett(1.0), Weibull(1, 2), Weibull(1, 0.5)),
+    ]
+    specs = [named_transform("cre_based"), named_transform("gini")]
+    configs = [
+        IntegrationConfig(method="monte_carlo", mc_samples=n, seed=seed)
+        for n in (2_000, 3_000)
+        for seed in (1, 2)
+    ]
+    cases = [(m, spec, cfg) for cfg in configs for m in models for spec in specs]
+    fresh = []
+    for case in cases:
+        _mc_sample.cache_clear()
+        fresh.append(_all_indices(*case))
+    # every index of every case, interleaved across models, seeds and sizes
+    memo = [[] for _ in cases]
+    for k in range(7):
+        for i, case in enumerate(cases):
+            memo[i].append(_all_indices(*case)[k])
+    assert memo == fresh
+
+
+def test_monte_carlo_sample_is_read_only():
+    cfg = IntegrationConfig(method="monte_carlo", mc_samples=2_000, seed=4)
+    model = BivariateModel(FGM(0.5), Exponential(1), Normal(0, 1))
+    spec = named_transform("cre_based")
+    before = _all_indices(model, spec, cfg)
+    sample = _mc_sample(model, cfg.mc_samples, cfg.seed)
+    for arr in (sample.u, sample.v, sample.x, sample.y, *sample.cells(spec.h)):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert _all_indices(model, spec, cfg) == before
 
 
 def test_gaussian_quadrature_is_rejected():

@@ -134,6 +134,16 @@ def test_g_covariance_empirical_routes():
     assert both == pytest.approx(sortmom, abs=1e-12)
 
 
+def test_g_covariance_empirical_uses_exact_cell_means():
+    # The other law enters by its mean over each empirical cell; summing
+    # x_(k) times scipy's quad of the Pareto quantile over each cell gives
+    # 1.13906852856723.  The midpoint rule gave 1.1083, biased low by the
+    # unbounded last cell.
+    x = np.random.default_rng(0).exponential(size=2000)
+    assert g_covariance(Empirical(x), Pareto(0.6)) == pytest.approx(1.13906852856723, abs=1e-12)
+    assert g_covariance(Pareto(0.6), Empirical(x)) == g_covariance(Empirical(x), Pareto(0.6))
+
+
 def test_g_covariance_divergent_pair_raises():
     with pytest.raises(NumericalError):
         g_covariance(Pareto(0.5), Pareto(0.5))
