@@ -64,15 +64,11 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _config(args, tol_sets_quadrature: bool = True) -> IntegrationConfig:
-    # table mode keeps --tol for the reference comparison; elsewhere it is
-    # the quadrature target
+def _config(args) -> IntegrationConfig:
     method = getattr(args, "method", None) or "quadrature"
     if method == "mc":
         method = "monte_carlo"
     abs_tol = getattr(args, "quad_tol", None)
-    if abs_tol is None and tol_sets_quadrature:
-        abs_tol = getattr(args, "tol", None)
     seed = getattr(args, "seed", None)
     samples = getattr(args, "samples", None)
     return IntegrationConfig(
@@ -85,10 +81,7 @@ def _config(args, tol_sets_quadrature: bool = True) -> IntegrationConfig:
 
 def _cmd_table(args) -> int:
     tol = args.tol if args.tol is not None else DEFAULT_TABLE_TOL
-    spec = TableSpec(
-        args.table_id, args.format, tol, _config(args, tol_sets_quadrature=False)
-    )
-    cells, ok = spec.run()
+    cells, ok = TableSpec(args.table_id, tol=tol, cfg=_config(args)).run()
     if args.format == "json":
         payload = {
             "table": args.table_id,
@@ -225,9 +218,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--method", choices=("quadrature", "mc"))
     parser.add_argument(
-        "--tol", type=float, default=None, help="table comparison tolerance"
-    )
-    parser.add_argument(
         "--quad-tol", type=float, default=None, help="quadrature absolute tolerance"
     )
     parser.add_argument("--samples", type=int, default=None)
@@ -241,6 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="reproduce a reference table")
     p_table.add_argument("table_id", choices=TABLE_IDS)
+    p_table.add_argument(
+        "--tol", type=float, default=None, help="table comparison tolerance"
+    )
     _add_common(p_table)
     p_table.set_defaults(fn=_cmd_table)
 

@@ -17,10 +17,11 @@ log-odds based one, exponential H the cumulative-residual-entropy based
 one, and Pareto/power H the extended Gini family.  H = G gives a
 variance-free Pearson variant whose magnitude dominates Pearson's.
 
-Models built on the Gaussian copula have no closed-form copula CDF here
-and must use the Monte Carlo method (see ``default_config_for``).  Every
-Monte Carlo index of a model reads one seeded sample, drawn and ranked once
-per (model, sample size, seed); the last model's sample is retained.
+Every index is a ratio of dependence covariances Cov(a(U), b(V)) and
+coupled-quantile covariances Cov(X, H^{-1} F(X)).  One memoised evaluator
+per (model, config), the last one retained, computes each once: by
+quadrature, or from one seeded Monte Carlo sample, drawn and ranked once,
+for copulas without a CDF such as the Gaussian (``default_config_for``).
 """
 
 from __future__ import annotations
@@ -77,6 +78,13 @@ def named_transform(label: str, nu: float | None = None) -> CorrelationSpec:
     raise DomainError(f"unknown index label {label!r}; expected one of {_NAMED_LABELS}")
 
 
+def _tail_aware(w: Distribution, p, upper: bool):
+    # (point, its complement, quantile density) at a tail-aware coordinate
+    if upper:
+        return 1.0 - p, p, w.quantile_density_comp(p)
+    return p, 1.0 - p, w.quantile_density(p)
+
+
 def dependence_integral(
     copula: Copula,
     weight_u: Distribution,
@@ -96,18 +104,8 @@ def dependence_integral(
         )
 
     def g2(pu, upper_u, pv, upper_v):
-        if upper_u:
-            u, uc = 1.0 - pu, pu
-            wu = weight_u.quantile_density_comp(pu)
-        else:
-            u, uc = pu, 1.0 - pu
-            wu = weight_u.quantile_density(pu)
-        if upper_v:
-            v, vc = 1.0 - pv, pv
-            wv = weight_v.quantile_density_comp(pv)
-        else:
-            v, vc = pv, 1.0 - pv
-            wv = weight_v.quantile_density(pv)
+        u, uc, wu = _tail_aware(weight_u, pu, upper_u)
+        v, vc, wv = _tail_aware(weight_v, pv, upper_v)
         return copula.excess(u, uc, v, vc) * wu * wv
 
     return unit_integral_2d(g2, cfg.abs_tol, cfg.tail_eps)
@@ -117,9 +115,9 @@ def default_config_for(
     model: BivariateModel, cfg: IntegrationConfig = DEFAULT_CONFIG
 ) -> IntegrationConfig:
     """cfg with the method the model supports (Monte Carlo for Gaussian)."""
-    if not model.copula.has_cdf and cfg.method == "quadrature":
-        return dataclasses.replace(cfg, method="monte_carlo")
-    return cfg
+    if model.copula.has_cdf:
+        return cfg
+    return dataclasses.replace(cfg, method="monte_carlo")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -127,26 +125,70 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class _Sample:
-    """One seeded draw of a model's (U, V), shared by its Monte Carlo indices.
+def _denominator(parts: list[float], floor: float) -> float:
+    """One covariance, or the geometric mean of two, once each exceeds the floor."""
+    if not all(p > floor for p in parts):
+        raise DegenerateError(f"covariance denominator {parts} is numerically degenerate")
+    return parts[0] if len(parts) == 1 else math.sqrt(parts[0] * parts[1])
 
-    X, Y and the rank-cell means of each transform law are computed on first
-    use; every array is read-only, since later indices read the same ones.
+
+_X, _Y = 0, 1  # the columns U and V, and the margins X = F^{-1}(U), Y = G^{-1}(V)
+
+
+class _Evaluator:
+    """The covariances a model's indices are ratios of, each computed once.
+
+    ``cov(a, i, b, j)`` is Cov(a-image of column i, b-image of column j):
+    ``cross(a, b)`` across the copula, ``coupled(axis, b)`` along one margin
+    Z = X or Y.  Images are laws; a transform law comes as its spec.
     """
 
-    def __init__(self, model: BivariateModel, n: int, seed: int):
-        self._model = model
-        rng = child_rng(seed, "correlation.beta_h")  # the tag fixes every MC value
-        self.u, self.v = map(_read_only, model.copula.sample(n, rng))
+    def __init__(self, model: BivariateModel, cfg: IntegrationConfig):
+        self.model, self.cfg, self.floor = model, cfg, cfg.abs_tol
+        self.margins = (model.margin_x, model.margin_y)
+        self._memo: dict[tuple, float] = {}
+
+    def cov(self, a, i: int, b, j: int) -> float:
+        key = self._key(a, i, b, j)
+        if key not in self._memo:
+            self._memo[key] = self._cov(*key)
+        return self._memo[key]
+
+    def _key(self, *key) -> tuple:
+        # a spec integrates as its law, so the two share one value
+        return tuple(k.h if isinstance(k, CorrelationSpec) else k for k in key)
+
+    def _cov(self, a, i: int, b, j: int) -> float:  # by quadrature
+        if i == j:
+            return g_covariance(a, b, self.cfg)
+        return dependence_integral(self.model.copula, a, b, self.cfg)
+
+    def cross(self, a, b) -> float:
+        return self.cov(a, _X, b, _Y)
+
+    def coupled(self, axis: int, b) -> float:
+        return self.cov(self.margins[axis], axis, b, axis)
+
+    def ratio(self, cross: tuple, *coupled: tuple) -> float:
+        """cross over a coupled covariance (or two's geometric mean), denominator first."""
+        den = _denominator([self.coupled(*c) for c in coupled], self.floor)
+        return self.cross(*cross) / den
+
+
+class _MonteCarlo(_Evaluator):
+    """Estimates from one seeded draw of (U, V): margins enter pointwise,
+    transform laws by rank-cell means.  X, Y and the cells are kept read-only
+    for later indices; G^{-1}(U) and F^{-1}(V) are not kept.
+    """
+
+    def __init__(self, model: BivariateModel, cfg: IntegrationConfig):
+        super().__init__(model, cfg)
+        self.floor = 0.0
+        rng = child_rng(cfg.seed, "correlation.beta_h")  # the tag fixes every MC value
+        self.u, self.v = map(_read_only, model.copula.sample(cfg.mc_samples, rng))
+        self.x = _read_only(model.margin_x.quantile(self.u))
+        self.y = _read_only(model.margin_y.quantile(self.v))
         self._cells: dict[Distribution, tuple[np.ndarray, ...]] = {}
-
-    @functools.cached_property
-    def x(self) -> np.ndarray:
-        return _read_only(self._model.margin_x.quantile(self.u))
-
-    @functools.cached_property
-    def y(self) -> np.ndarray:
-        return _read_only(self._model.margin_y.quantile(self.v))
 
     def cells(self, h: Distribution) -> tuple[np.ndarray, ...]:
         """H^{-1} rank-cell means at the ranks of u and of v."""
@@ -154,17 +196,23 @@ class _Sample:
             self._cells[h] = tuple(_read_only(_rank_cell_means(h, c)) for c in (self.u, self.v))
         return self._cells[h]
 
+    def _key(self, *key) -> tuple:
+        return key  # a spec's law enters by ranks, the same law as a margin pointwise
 
-# keyed on (model, n, seed); holds one sample, the last model's
-_mc_sample = functools.lru_cache(maxsize=1)(_Sample)
+    def _image(self, a, axis: int) -> np.ndarray:
+        if isinstance(a, CorrelationSpec):
+            return self.cells(a.h)[axis]
+        if a == self.margins[axis]:
+            return (self.x, self.y)[axis]
+        return a.quantile((self.u, self.v)[axis])
+
+    def _cov(self, a, i: int, b, j: int) -> float:
+        return _cov(self._image(a, i), self._image(b, j))
 
 
-def _mc_ratio(z: np.ndarray, h_own: np.ndarray, h_other: np.ndarray):
-    """Directed Monte Carlo index Cov(z, h_other) / Cov(z, h_own) and its denominator."""
-    den = _cov(z, h_own)
-    if not den > 0.0:
-        raise DegenerateError("degenerate transformed-covariance denominator")
-    return _cov(z, h_other) / den, den
+@functools.lru_cache(maxsize=1)  # keyed on (model, cfg); holds the last model's
+def _evaluator(model: BivariateModel, cfg: IntegrationConfig) -> _Evaluator:
+    return (_MonteCarlo if cfg.method == "monte_carlo" else _Evaluator)(model, cfg)
 
 
 def beta_h(
@@ -173,17 +221,7 @@ def beta_h(
     cfg: IntegrationConfig = DEFAULT_CONFIG,
 ) -> float:
     """H-transformed correlation of (X, Y) under the model."""
-    h = spec.h
-    if cfg.method == "monte_carlo":
-        s = _mc_sample(model, cfg.mc_samples, cfg.seed)
-        hu, hv = s.cells(h)
-        return _mc_ratio(s.x, hu, hv)[0]
-    den = g_covariance(model.margin_x, h, cfg)
-    if den <= cfg.abs_tol:
-        raise DegenerateError(
-            f"transformed-covariance denominator {den:.3e} is numerically degenerate"
-        )
-    return dependence_integral(model.copula, model.margin_x, h, cfg) / den
+    return _evaluator(model, cfg).ratio((model.margin_x, spec), (_X, spec))
 
 
 def beta_h_reversed(
@@ -192,33 +230,13 @@ def beta_h_reversed(
     cfg: IntegrationConfig = DEFAULT_CONFIG,
 ) -> float:
     """H-transformed correlation with the roles of X and Y exchanged."""
-    h = spec.h
-    if cfg.method == "monte_carlo":
-        s = _mc_sample(model, cfg.mc_samples, cfg.seed)
-        hu, hv = s.cells(h)
-        return _mc_ratio(s.y, hv, hu)[0]
-    den = g_covariance(model.margin_y, h, cfg)
-    if den <= cfg.abs_tol:
-        raise DegenerateError(
-            f"transformed-covariance denominator {den:.3e} is numerically degenerate"
-        )
-    return dependence_integral(model.copula, h, model.margin_y, cfg) / den
+    return _evaluator(model, cfg).ratio((spec, model.margin_y), (_Y, spec))
 
 
 def pearson(model: BivariateModel, cfg: IntegrationConfig = DEFAULT_CONFIG) -> float:
     """Pearson correlation, with Cov(X, Y) via the dependence integral."""
-    if cfg.method == "monte_carlo":
-        s = _mc_sample(model, cfg.mc_samples, cfg.seed)
-        sx, sy = np.std(s.x, ddof=1), np.std(s.y, ddof=1)
-        if not (sx > 0.0 and sy > 0.0):
-            raise DegenerateError("zero sample variance")
-        return _cov(s.x, s.y) / float(sx * sy)
-    var_x = g_covariance(model.margin_x, model.margin_x, cfg)
-    var_y = g_covariance(model.margin_y, model.margin_y, cfg)
-    if min(var_x, var_y) <= cfg.abs_tol:
-        raise DegenerateError("a marginal variance is numerically degenerate")
-    num = dependence_integral(model.copula, model.margin_x, model.margin_y, cfg)
-    return num / math.sqrt(var_x * var_y)
+    f, g = model.margin_x, model.margin_y
+    return _evaluator(model, cfg).ratio((f, g), (_X, f), (_Y, g))
 
 
 def rho_t(model: BivariateModel, cfg: IntegrationConfig = DEFAULT_CONFIG) -> float:
@@ -227,29 +245,19 @@ def rho_t(model: BivariateModel, cfg: IntegrationConfig = DEFAULT_CONFIG) -> flo
     Normalizes Cov(X, Y) by the coupled-quantile covariances instead of
     the standard deviations, so |rho_t| >= |pearson| always.
     """
-    if cfg.method == "monte_carlo":
-        s = _mc_sample(model, cfg.mc_samples, cfg.seed)
-        d1 = _cov(s.x, model.margin_y.quantile(s.u))
-        d2 = _cov(s.y, model.margin_x.quantile(s.v))
-        if not (d1 > 0.0 and d2 > 0.0):
-            raise DegenerateError("degenerate coupled-covariance denominator")
-        return _cov(s.x, s.y) / math.sqrt(d1 * d2)
-    d1 = g_covariance(model.margin_x, model.margin_y, cfg)
-    d2 = g_covariance(model.margin_y, model.margin_x, cfg)
-    if min(d1, d2) <= cfg.abs_tol:
-        raise DegenerateError("degenerate coupled-covariance denominator")
-    num = dependence_integral(model.copula, model.margin_x, model.margin_y, cfg)
-    return num / math.sqrt(d1 * d2)
+    f, g = model.margin_x, model.margin_y
+    return _evaluator(model, cfg).ratio((f, g), (_X, g), (_Y, f))
 
 
 def rho_t_scale(model: BivariateModel, cfg: IntegrationConfig = DEFAULT_CONFIG) -> float:
-    """Diagnostic ratio rho_t / pearson = sigma_x sigma_y / C(F, G); >= 1."""
-    var_x = g_covariance(model.margin_x, model.margin_x, cfg)
-    var_y = g_covariance(model.margin_y, model.margin_y, cfg)
-    c = g_covariance(model.margin_x, model.margin_y, cfg)
-    if c <= cfg.abs_tol:
-        raise DegenerateError("degenerate coupled-covariance denominator")
-    return math.sqrt(var_x * var_y) / c
+    """Diagnostic ratio rho_t / pearson = sigma_x sigma_y / C(F, G); >= 1.
+
+    The margins alone fix it, so it is integrated, never sampled.
+    """
+    f, g = model.margin_x, model.margin_y
+    ev = _Evaluator(model, cfg)
+    den = _denominator([ev.coupled(_X, g)], ev.floor)
+    return math.sqrt(ev.coupled(_X, f) * ev.coupled(_Y, g)) / den
 
 
 def fgm_beta_closed_form(
@@ -264,38 +272,20 @@ def fgm_beta_closed_form(
     """
     if not (math.isfinite(gamma) and -1.0 <= gamma <= 1.0):
         raise DomainError(f"FGM dependence parameter must lie in [-1, 1], got {gamma}")
-    den = g_covariance(f, spec.h, cfg)
-    if den <= cfg.abs_tol:
-        raise DegenerateError("degenerate transformed-covariance denominator")
+    den = _denominator([g_covariance(f, spec.h, cfg)], cfg.abs_tol)
     return gamma * gmd(f, cfg) * gmd(spec.h, cfg) / (4.0 * den)
-
-
-def _symmetric_parts(model, spec, cfg):
-    if cfg.method == "monte_carlo":
-        # the sample beta_h and beta_h_reversed read, so the parts equal theirs
-        s = _mc_sample(model, cfg.mc_samples, cfg.seed)
-        hu, hv = s.cells(spec.h)
-        b_xy, eta_x = _mc_ratio(s.x, hu, hv)
-        b_yx, eta_y = _mc_ratio(s.y, hv, hu)
-        return b_xy, b_yx, eta_x, eta_y
-    b_xy = beta_h(model, spec, cfg)
-    b_yx = beta_h_reversed(model, spec, cfg)
-    eta_x = g_covariance(model.margin_x, spec.h, cfg)
-    eta_y = g_covariance(model.margin_y, spec.h, cfg)
-    if not (eta_x > 0.0 and eta_y > 0.0):
-        raise DegenerateError("degenerate transformed-covariance weight")
-    return b_xy, b_yx, eta_x, eta_y
 
 
 def symmetric_tau(model, spec, cfg: IntegrationConfig = DEFAULT_CONFIG) -> float:
     """Arithmetic mean of the two directed transformed correlations."""
-    b_xy, b_yx, _, _ = _symmetric_parts(model, spec, cfg)
-    return 0.5 * (b_xy + b_yx)
+    return 0.5 * (beta_h(model, spec, cfg) + beta_h_reversed(model, spec, cfg))
 
 
 def symmetric_nu(model, spec, cfg: IntegrationConfig = DEFAULT_CONFIG) -> float:
     """Weighted symmetric version, weights eta = Cov(margin, transformed rank)."""
-    b_xy, b_yx, eta_x, eta_y = _symmetric_parts(model, spec, cfg)
+    b_xy, b_yx = beta_h(model, spec, cfg), beta_h_reversed(model, spec, cfg)
+    ev = _evaluator(model, cfg)
+    eta_x, eta_y = ev.coupled(_X, spec), ev.coupled(_Y, spec)
     return (eta_x * b_xy + eta_y * b_yx) / (eta_x + eta_y)
 
 

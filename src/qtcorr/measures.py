@@ -15,6 +15,7 @@ integral forms live only in the test suite as independent oracles.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -79,33 +80,42 @@ def _empirical_pair_integral(f: Empirical, g: Empirical) -> float:
     return float(np.sum(widths * f.quantile(mids) * g.quantile(mids)))
 
 
+@functools.lru_cache(maxsize=4)
+def _cell_values(law: Distribution, n: int) -> np.ndarray:
+    # The law's mean over each of n equal cells (midpoint rule without one),
+    # read-only; kept because equal-size empirical laws ask for the same cells.
+    try:
+        cells = law.cell_means(n)
+    except UnsupportedOperationError:
+        cells = law.quantile((np.arange(n) + 0.5) / n)
+    cells.flags.writeable = False
+    return cells
+
+
 def _empirical_mixed_integral(emp: Empirical, other: Distribution) -> float:
     # Exact per cell of the empirical grid: the step side is constant there and
-    # the other law enters by its cell mean (midpoint rule without one).
-    try:
-        other_cells = other.cell_means(emp.n)
-    except UnsupportedOperationError:
-        other_cells = other.quantile((np.arange(emp.n) + 0.5) / emp.n)
-    return float(np.mean(emp.values * other_cells))
+    # the other law enters by its cell mean.
+    return float(np.mean(emp.values * _cell_values(other, emp.n)))
 
 
 def cov_with_unit_transform(
     f: Distribution,
     psi,
     psi_mean: float,
+    psi_cells,
     cfg: IntegrationConfig = DEFAULT_CONFIG,
 ) -> float:
     """Cov(X, psi(F(X))) for a monotone-integrable transform psi on (0, 1).
 
     ``psi(p, upper)`` follows the tail-aware convention of
     :func:`qtcorr.quadrature.unit_integral`; ``psi_mean`` is its exact
-    unit-interval integral.
+    unit-interval integral, and ``psi_cells(n)`` its exact means over n
+    equal cells, which an empirical law of n points uses instead.
     """
     if _is_degenerate(f):
         return 0.0
     if isinstance(f, Empirical):
-        mids = (np.arange(f.n) + 0.5) / f.n
-        return float(np.mean(f.values * psi(mids, False)) - f.mean() * psi_mean)
+        return float(np.mean(f.values * psi_cells(f.n)) - f.mean() * psi_mean)
 
     def integrand(p, upper):
         q = f.quantile_comp(p) if upper else f.quantile(p)
@@ -219,7 +229,7 @@ def equilibrium_entropy(
 
 
 def _pow_neglog_comp(m: int):
-    # psi(u) = (-log(1 - u))**m, tail-aware
+    # psi(u) = (-log(1 - u))**m, tail-aware: the Weibull(1, 1/m) quantile
     def psi(p, upper):
         lam = -np.log(p) if upper else -np.log1p(-p)
         return lam**m
@@ -228,7 +238,7 @@ def _pow_neglog_comp(m: int):
 
 
 def _pow_neglog(m: int):
-    # psi(u) = (-log(u))**m, tail-aware
+    # psi(u) = (-log(u))**m, tail-aware: the Weibull(1, 1/m) quantile at 1 - u
     def psi(p, upper):
         lam = -np.log1p(-p) if upper else -np.log(p)
         return lam**m
@@ -258,13 +268,21 @@ def record_mean_gap(
     m = n - 1
     up = _pow_neglog_comp(m)
     down = _pow_neglog(m)
+    up_cells = Weibull(1.0, 1.0 / m).cell_means  # down's cell means are these reversed
+
+    def down_cells(k):
+        return up_cells(k)[::-1]
+
     fact = float(math.factorial(m))
     if kind == "upper":
-        return cov_with_unit_transform(f, up, fact, cfg) / fact
+        return cov_with_unit_transform(f, up, fact, up_cells, cfg) / fact
     if kind == "lower":
-        return cov_with_unit_transform(f, down, fact, cfg) / fact
+        return cov_with_unit_transform(f, down, fact, down_cells, cfg) / fact
 
     def spread_psi(p, upper):
         return up(p, upper) - down(p, upper)
 
-    return cov_with_unit_transform(f, spread_psi, 0.0, cfg) / fact
+    def spread_cells(k):
+        return up_cells(k) - down_cells(k)
+
+    return cov_with_unit_transform(f, spread_psi, 0.0, spread_cells, cfg) / fact

@@ -52,10 +52,9 @@ DEFAULT_TABLE_TOL = 5e-4
 
 @dataclass(frozen=True)
 class TableSpec:
-    """A table request: fixed cell layout id plus output/numeric policy."""
+    """A table request: fixed cell layout id plus comparison/numeric policy."""
 
     table_id: str
-    fmt: str = "csv"
     tol: float = DEFAULT_TABLE_TOL
     cfg: IntegrationConfig = DEFAULT_CONFIG
 
@@ -64,8 +63,6 @@ class TableSpec:
             raise DomainError(
                 f"unknown table id {self.table_id!r}; expected one of {TABLE_IDS}"
             )
-        if self.fmt not in ("csv", "json"):
-            raise DomainError(f"unknown format {self.fmt!r}")
         if not self.tol > 0.0:
             raise DomainError("table tolerance must be positive")
 

@@ -92,14 +92,14 @@ def test_corr_gaussian_defaults_to_monte_carlo(capsys):
 
 def test_corr_all_monte_carlo_draws_once(capsys, monkeypatch):
     from qtcorr.bivariate import GaussianCopula
-    from qtcorr.correlation import _mc_sample
+    from qtcorr.correlation import _evaluator
 
     draws = []
     sample = GaussianCopula.sample
     monkeypatch.setattr(
         GaussianCopula, "sample", lambda self, n, rng: draws.append(n) or sample(self, n, rng)
     )
-    _mc_sample.cache_clear()
+    _evaluator.cache_clear()
     code, out, _ = run_cli(
         capsys,
         "corr", "--copula", "gaussian:0.6",
@@ -109,6 +109,26 @@ def test_corr_all_monte_carlo_draws_once(capsys, monkeypatch):
     assert code == 0
     assert len(out.strip().splitlines()) == 7
     assert draws == [20_000]
+
+
+def test_corr_all_quadrature_integrates_each_dependence_covariance_once(capsys, monkeypatch):
+    import qtcorr.correlation as correlation
+
+    calls = []
+    integral = correlation.dependence_integral
+    monkeypatch.setattr(
+        correlation, "dependence_integral", lambda *a: calls.append(a[1:3]) or integral(*a)
+    )
+    correlation._evaluator.cache_clear()
+    code, out, _ = run_cli(
+        capsys,
+        "corr", "--copula", "gb:1", "--fx", "weibull:1:2", "--gy", "weibull:1:0.5",
+        "--h", "exp:1", "--all",
+    )
+    assert code == 0
+    assert len(out.strip().splitlines()) == 7
+    # (F, H) for beta_xy, (H, G) for beta_yx and (F, G) for pearson and rho_t
+    assert len(calls) == 3 == len(set(calls))
 
 
 def test_parse_error_exit_code(capsys):
@@ -122,6 +142,26 @@ def test_parse_error_exit_code(capsys):
 def test_usage_error_exit_code(capsys):
     assert run_cli(capsys, "table", "no-such-table")[0] == 1
     assert run_cli(capsys, "nosuchcommand")[0] == 1
+
+
+def test_tol_is_only_the_table_comparison_tolerance(capsys):
+    corr = ("corr", "--copula", "fgm:0.5", "--fx", "exp:1", "--gy", "exp:1", "--h", "exp:1")
+    code, out, err = run_cli(capsys, *corr, "--tol", "1e-6")
+    assert (code, out) == (1, "")
+    assert "--tol" in err
+    assert run_cli(capsys, *corr, "--quad-tol", "1e-6")[0] == 0
+    assert run_cli(capsys, "decompose", "--components", "exp:1", "--g", "exp:1",
+                   "--tol", "1e-6")[0] == 1
+
+
+def test_table_spec_takes_the_tolerance_second():
+    import dataclasses
+
+    from qtcorr.tables import DEFAULT_TABLE_TOL, TableSpec
+
+    assert TableSpec("fgm-beta", 1e-3).tol == 1e-3
+    assert TableSpec("fgm-beta").tol == DEFAULT_TABLE_TOL
+    assert [f.name for f in dataclasses.fields(TableSpec)] == ["table_id", "tol", "cfg"]
 
 
 def test_table_csv_and_exit_codes(capsys, tmp_path):

@@ -19,7 +19,7 @@ from qtcorr.bivariate import (
 )
 from qtcorr.correlation import (
     CorrelationSpec,
-    _mc_sample,
+    _evaluator,
     beta_h,
     beta_h_reversed,
     default_config_for,
@@ -48,7 +48,7 @@ from qtcorr.distributions import (
     Weibull,
 )
 from qtcorr.errors import DegenerateError, DomainError, UnsupportedOperationError
-from qtcorr.measures import IntegrationConfig
+from qtcorr.measures import IntegrationConfig, g_covariance
 
 TOL = 2e-4  # quadrature assertion tolerance: max(10 abs_tol, 2e-4)
 MC_TOL = 5e-3
@@ -321,6 +321,18 @@ def test_pearson_never_exceeds_rho_t():
         assert rho_t_scale(m) * pearson(m) == pytest.approx(rho_t(m), abs=TOL)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_rho_t_scale_is_integrated_under_a_monte_carlo_config(seed):
+    # the margins alone fix it, so a sample must not enter
+    for f, g in ((Normal(0, 1), Normal(0, 1)), (Normal(0, 1), Logistic(0, 1))):
+        model = BivariateModel(GaussianCopula(0.6), f, g)
+        cfg = default_config_for(model, IntegrationConfig(mc_samples=2_000, seed=seed))
+        exact = math.sqrt(g_covariance(f, f) * g_covariance(g, g)) / g_covariance(f, g)
+        assert rho_t_scale(model, cfg) == exact == rho_t_scale(model, IntegrationConfig())
+        assert rho_t_scale(model, cfg) >= 1.0
+    assert rho_t_scale(BivariateModel(GaussianCopula(0.6), f, f), cfg) == 1.0
+
+
 def test_rho_t_dominance_on_full_margin_grids():
     # every margin pairing of the fgm grid plus the unequal-margin models
     grid = [Uniform(0, 1), Exponential(1), Weibull(1, 2), Logistic(0, 1), Normal(0, 1)]
@@ -395,7 +407,7 @@ def test_monte_carlo_indices_of_a_model_draw_once(monkeypatch, model):
     monkeypatch.setattr(
         family, "sample", lambda self, n, rng: draws.append(n) or sample(self, n, rng)
     )
-    _mc_sample.cache_clear()
+    _evaluator.cache_clear()
     _all_indices(model, named_transform("gini"), cfg)
     # a second transform law ranks again but draws nothing
     _all_indices(model, named_transform("egini", 0.5), cfg)
@@ -416,7 +428,7 @@ def test_monte_carlo_memo_matches_cleared_cache_when_interleaved():
     cases = [(m, spec, cfg) for cfg in configs for m in models for spec in specs]
     fresh = []
     for case in cases:
-        _mc_sample.cache_clear()
+        _evaluator.cache_clear()
         fresh.append(_all_indices(*case))
     # every index of every case, interleaved across models, seeds and sizes
     memo = [[] for _ in cases]
@@ -431,12 +443,68 @@ def test_monte_carlo_sample_is_read_only():
     model = BivariateModel(FGM(0.5), Exponential(1), Normal(0, 1))
     spec = named_transform("cre_based")
     before = _all_indices(model, spec, cfg)
-    sample = _mc_sample(model, cfg.mc_samples, cfg.seed)
+    sample = _evaluator(model, cfg)
     for arr in (sample.u, sample.v, sample.x, sample.y, *sample.cells(spec.h)):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
     assert _all_indices(model, spec, cfg) == before
+
+
+ORACLE_MODELS = [
+    BivariateModel(GumbelBarnett(1.0), Weibull(1, 2), Weibull(1, 0.5)),
+    BivariateModel(AMH(-1.0), Logistic(0, 1), Logistic(0, 1)),
+    BivariateModel(FGM(0.5), Exponential(1), Normal(0, 1)),
+]
+
+
+@pytest.mark.parametrize("model", ORACLE_MODELS)
+def test_quadrature_indices_are_the_explicit_integral_ratios(model):
+    c, f, g = model.copula, model.margin_x, model.margin_y
+    h = named_transform("cre_based").h
+    _evaluator.cache_clear()
+    assert beta_h(model, named_transform("cre_based")) == (
+        dependence_integral(c, f, h) / g_covariance(f, h)
+    )
+    assert beta_h_reversed(model, named_transform("cre_based")) == (
+        dependence_integral(c, h, g) / g_covariance(g, h)
+    )
+    cov_xy = dependence_integral(c, f, g)
+    assert pearson(model) == cov_xy / math.sqrt(g_covariance(f, f) * g_covariance(g, g))
+    assert rho_t(model) == cov_xy / math.sqrt(g_covariance(f, g) * g_covariance(g, f))
+
+
+def test_symmetric_table_integrates_each_dependence_covariance_once(monkeypatch):
+    import qtcorr.correlation as correlation
+    from qtcorr.tables import run_table
+
+    calls = []
+    integral = correlation.dependence_integral
+    monkeypatch.setattr(
+        correlation, "dependence_integral", lambda *a: calls.append(a[1:3]) or integral(*a)
+    )
+    _evaluator.cache_clear()
+    cells, ok = run_table("symmetric")
+    assert ok and len(cells) == 25
+    # five transform laws, two directions each
+    assert len(calls) == 10 == len(set(calls))
+
+
+def test_quadrature_transform_equal_to_a_margin_shares_its_integrals(monkeypatch):
+    import qtcorr.correlation as correlation
+
+    calls = []
+    for name in ("dependence_integral", "g_covariance"):
+        fn = getattr(correlation, name)
+        monkeypatch.setattr(
+            correlation, name, lambda *a, fn=fn: calls.append(fn.__name__) or fn(*a)
+        )
+    f, g = Weibull(1, 2), Exponential(1)
+    model = BivariateModel(FGM(0.5), f, g)
+    _evaluator.cache_clear()
+    # H = G: beta_h reads rho_t's numerator and its Cov(X, G^{-1}F(X))
+    assert beta_h(model, CorrelationSpec(g)) * rho_t(model) != 0.0
+    assert sorted(calls) == ["dependence_integral", "g_covariance", "g_covariance"]
 
 
 def test_gaussian_quadrature_is_rejected():

@@ -112,3 +112,25 @@ def test_heavy_tailed_target_identity(seed):
     system = StandbySystem((Exponential(1), Exponential(1)))
     result = decompose(system, Pareto(0.55), 10**5, seed=seed)
     assert abs(result.total - result.mc_estimate) <= 3.0 * result.mc_se
+
+
+def test_subadditivity_report_computes_each_cell_grid_once(monkeypatch):
+    # the ten equal-size batch laws share every target law's cell means
+    from qtcorr.distributions import Distribution
+    from qtcorr.measures import _cell_values
+
+    calls = []
+    cell_means = Distribution.cell_means
+    monkeypatch.setattr(
+        Distribution, "cell_means", lambda self, n: calls.append((self, n)) or cell_means(self, n)
+    )
+    _cell_values.cache_clear()
+    system = StandbySystem((Exponential(1), Exponential(1)))
+    rows = subadditivity_report(system, 5_000, seed=3)
+    assert len(calls) == len(set(calls))
+    assert {n for _, n in calls} == {5_000, 500}
+    with pytest.raises(ValueError):
+        _cell_values(Exponential(1), 500)[0] = 0.0
+    _cell_values.cache_clear()
+    monkeypatch.undo()
+    assert subadditivity_report(system, 5_000, seed=3) == rows

@@ -316,6 +316,19 @@ def test_record_gap_structure():
         record_mean_gap(Exponential(1), 2, "sideways")
 
 
+def test_record_gap_empirical_uses_exact_cell_means():
+    # psi is the Weibull(1, 1/m) quantile at u ("upper") or 1 - u ("lower"),
+    # so an empirical law takes its exact cell means; the midpoint rule gave
+    # 1.028263575457635 for "upper", the log singularity sitting in the last cell.
+    law = Empirical(np.random.default_rng(0).exponential(size=2000))
+    upper = record_mean_gap(law, 2, "upper")
+    assert upper == 1.0296567628785944
+    assert upper == g_covariance(law, Weibull(1, 1))
+    lower = record_mean_gap(law, 2, "lower")
+    assert lower == -0.6540235803994283
+    assert record_mean_gap(law, 2, "spread") == pytest.approx(upper - lower, abs=1e-14)
+
+
 # -- configuration ------------------------------------------------------------
 
 
