@@ -24,7 +24,7 @@ import numpy as np
 from .bivariate import child_rng
 from .distributions import Distribution, Empirical
 from .errors import DomainError
-from .estimation import _cov, _rank_cell_means
+from .estimation import _cov, _coupled_cov, _rank_cell_means
 from .measures import (
     DEFAULT_CONFIG,
     IntegrationConfig,
@@ -105,7 +105,7 @@ def decompose(
     gt = _rank_cell_means(g, t)
     betas = []
     for i in range(system.n):
-        den = _cov(xs[i], _rank_cell_means(g, xs[i]))
+        den = _coupled_cov(g, xs[i])
         if not den > 0.0:
             raise DomainError(f"component {i} has a degenerate lifetime law")
         betas.append(_cov(xs[i], gt) / den)
@@ -114,7 +114,7 @@ def decompose(
     # Independent plug-in estimate of C(T, Y) with batch-means errors.
     mc_estimate = _cov(t, gt)
     batch = np.array_split(t, _N_BATCHES)
-    est_b = [_cov(tb, _rank_cell_means(g, tb)) for tb in batch]
+    est_b = [_coupled_cov(g, tb) for tb in batch]
     mc_se = float(np.std(est_b, ddof=1) / math.sqrt(_N_BATCHES))
     return DecompositionResult(
         tuple((float(b), float(c)) for b, c in zip(betas, c_terms)),

@@ -1,8 +1,9 @@
 """Rank-based plug-in estimation of the transformed correlations.
 
 The estimators replace the population marginal CDFs by ranks and the
-population covariances by sample covariances.  Each column is sorted
-once, and its order and runs of tied values serve every rank it needs.
+population covariances by sample covariances.  A sample is sorted once
+for all estimators: the last sample's sorted view (about 3n floats) is
+kept, and every rank covariance is taken in sorted order.
 
 Transform-law quantiles are exact averages over each rank's probability
 cell when the law has closed-form partial quantile integrals; this keeps
@@ -14,7 +15,7 @@ and the standby decomposition use the same rank-cell means.
 
 Ties have zero probability under continuous laws but occur in real data:
 a tied run shares one value (the mean of its cells, or the value at its
-average rank), and each plug-in warns once per tied column at the caller.
+average rank), and each plug-in call warns once per tied column at the caller.
 
 No bias correction or interval machinery is attempted here: this is the
 straight plug-in, one defensible choice among several (jackknifed or
@@ -24,6 +25,7 @@ U-statistic variants would be equally natural).
 from __future__ import annotations
 
 import csv
+import functools
 import sys
 import warnings
 from dataclasses import dataclass
@@ -34,44 +36,46 @@ from .distributions import Distribution
 from .errors import DegenerateError, DomainError, UnsupportedOperationError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairedSample:
-    """Finite sequence of paired observations."""
+    """Finite sequence of paired observations: read-only copies, compared by identity."""
 
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
+        x = np.array(self.x, dtype=float)
+        y = np.array(self.y, dtype=float)
         if x.ndim != 1 or y.ndim != 1 or x.size != y.size:
             raise DomainError("PairedSample requires two equal-length 1-d columns")
         if x.size < 3:
             raise DomainError("PairedSample requires at least 3 pairs")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise DomainError("PairedSample requires finite values")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        for name, column in (("x", x), ("y", y)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     @property
     def n(self) -> int:
         return int(self.x.size)
 
 
-def _warn_ties(label: str) -> None:
-    # attribute the warning to the first frame outside this module
+def _warn_ties(bx, by) -> None:
+    """Warn once per column with tied runs, at the first frame outside this module."""
     frame, level = sys._getframe(), 1
     while frame is not None and frame.f_globals.get("__name__") == __name__:
         frame, level = frame.f_back, level + 1
-    warnings.warn(f"ties in the {label} column resolved by average ranks", stacklevel=level)
+    for label, bounds in (("x", bx), ("y", by)):
+        if bounds is not None:
+            warnings.warn(f"ties in the {label} column resolved by average ranks", stacklevel=level)
 
 
-def _sorted_runs(column: np.ndarray, label: str | None = None):
+def _sorted_runs(column: np.ndarray):
     """One sort of a column: (order, sorted values, tied-run bounds or None).
 
     Tied runs are the sorted positions [bounds[k], bounds[k + 1]); the sort
-    need not be stable, since a tied run shares one value.  Ties in a
-    column named by a label warn.
+    need not be stable, since a tied run shares one value.
     """
     order = np.argsort(column)
     ordered = column[order]
@@ -79,8 +83,6 @@ def _sorted_runs(column: np.ndarray, label: str | None = None):
     bounds = None
     if not distinct.all():
         bounds = np.append(np.flatnonzero(np.r_[True, distinct]), column.size)
-        if label is not None:
-            _warn_ties(label)
     return order, ordered, bounds
 
 
@@ -105,23 +107,42 @@ def average_ranks(values: np.ndarray) -> np.ndarray:
 
 
 def _cov(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.cov(a, b, ddof=1)[0, 1])
+    # summed pairwise: products in sorted order share one sign over long
+    # stretches, and a BLAS dot product's running sum loses two digits at 10**6
+    return float(np.sum((a - a.mean()) * (b - b.mean()))) / (a.size - 1)
 
 
-def _rank_cell_means(h: Distribution, column: np.ndarray, label: str | None = None):
-    """H^{-1} at the plug-in ranks of a column, as exact rank-cell means.
+def _sorted_cells(h: Distribution, n: int, *bounds_per_column) -> list[np.ndarray]:
+    """H^{-1} rank-cell means in sorted order, one array per column's tied-run bounds.
 
-    Element i gets the mean of H^{-1} over the rank(i)-th of n equal
-    probability cells; a tied run shares the mean of its cells.  Exact tail
-    cells bound the kernel for heavy-tailed H (pointwise: infinite variance).
+    Position k gets the mean over the k-th of n equal cells; a tied run, its cells' mean.
     """
-    order, _, bounds = _sorted_runs(column, label)
-    n = column.size
     try:
-        cell_means = h.cell_means(n)
+        cells = h.cell_means(n)
     except UnsupportedOperationError:
-        return _unsorted(order, h.quantile(_pooled(np.arange(1.0, n + 1.0), bounds) / (n + 1.0)))
-    return _unsorted(order, _pooled(cell_means, bounds))
+        ranks = np.arange(1.0, n + 1.0)
+        return [h.quantile(_pooled(ranks, b) / (n + 1.0)) for b in bounds_per_column]
+    return [_pooled(cells, b) for b in bounds_per_column]
+
+
+def _rank_cell_means(h: Distribution, column: np.ndarray) -> np.ndarray:
+    """H^{-1} rank-cell means at the plug-in ranks of a column, in data order."""
+    order, _, bounds = _sorted_runs(column)
+    return _unsorted(order, _sorted_cells(h, column.size, bounds)[0])
+
+
+def _coupled_cov(h: Distribution, column: np.ndarray) -> float:
+    """Cov(column, its H^{-1} rank-cell means), taken in sorted order."""
+    _, ordered, bounds = _sorted_runs(column)
+    return _cov(ordered, _sorted_cells(h, column.size, bounds)[0])
+
+
+@functools.lru_cache(maxsize=1)  # keyed on the sample's identity; holds the last sample
+def _ranked(sample: PairedSample):
+    """(sorted x, its tied-run bounds, sorted y, its bounds, x in the order of y)."""
+    _, xs, bx = _sorted_runs(sample.x)
+    oy, ys, by = _sorted_runs(sample.y)
+    return xs, bx, ys, by, sample.x[oy]
 
 
 def estimate_beta_h(sample: PairedSample, h: Distribution) -> float:
@@ -131,31 +152,30 @@ def estimate_beta_h(sample: PairedSample, h: Distribution) -> float:
     (x, H^{-1}(F_hat(x))); exactly 1 on comonotone data and invariant
     under strictly increasing transforms of the y column.
     """
-    tx = _rank_cell_means(h, sample.x, "x")
-    ty = _rank_cell_means(h, sample.y, "y")
-    den = _cov(sample.x, tx)
+    xs, bx, _, by, x_by_y = _ranked(sample)
+    _warn_ties(bx, by)
+    tx, ty = _sorted_cells(h, sample.n, bx, by)
+    den = _cov(xs, tx)
     if not den > 0.0:
         raise DegenerateError("degenerate plug-in denominator")
-    return _cov(sample.x, ty) / den
+    return _cov(x_by_y, ty) / den
 
 
-def _at_average_ranks(order, bounds, other_sorted: np.ndarray) -> np.ndarray:
-    """other_sorted[rank - 1] per element; a tied run reads np.interp at its average rank."""
-    if bounds is not None:
-        twice_mid = bounds[:-1] + bounds[1:] - 1
-        mid = 0.5 * (other_sorted[twice_mid // 2] + other_sorted[(twice_mid + 1) // 2])
-        other_sorted = np.repeat(mid, np.diff(bounds))
-    return _unsorted(order, other_sorted)
+def _at_average_ranks(bounds, other_sorted: np.ndarray) -> np.ndarray:
+    """other_sorted at each sorted position's rank; a tied run reads np.interp at its average rank."""
+    if bounds is None:
+        return other_sorted
+    twice_mid = bounds[:-1] + bounds[1:] - 1
+    mid = 0.5 * (other_sorted[twice_mid // 2] + other_sorted[(twice_mid + 1) // 2])
+    return np.repeat(mid, np.diff(bounds))
 
 
 def _rho_t_hat(sample: PairedSample) -> float:
     # Q-transform plug-in: empirical quantiles paired through ranks.
-    ox, xs, bx = _sorted_runs(sample.x, "x")
-    oy, ys, by = _sorted_runs(sample.y, "y")
+    xs, bx, ys, by, _ = _ranked(sample)
+    _warn_ties(bx, by)
     # G_hat^{-1}(F_hat(x_i)) pairs each x with the y order statistic at x's rank.
-    gyx = _at_average_ranks(ox, bx, ys)
-    fxy = _at_average_ranks(oy, by, xs)
-    den = _cov(sample.x, gyx) * _cov(sample.y, fxy)
+    den = _cov(xs, _at_average_ranks(bx, ys)) * _cov(ys, _at_average_ranks(by, xs))
     if not den > 0.0:
         raise DegenerateError("degenerate plug-in denominator")
     return _cov(sample.x, sample.y) / np.sqrt(den)
@@ -169,11 +189,10 @@ def estimate_named(sample: PairedSample, which: str, nu: float | None = None) ->
     from .correlation import named_transform  # deferred: avoids an import cycle
 
     if which == "pearson":
-        sx = float(np.std(sample.x, ddof=1))
-        sy = float(np.std(sample.y, ddof=1))
-        if not (sx > 0.0 and sy > 0.0):
+        vx, vy = _cov(sample.x, sample.x), _cov(sample.y, sample.y)
+        if not (vx > 0.0 and vy > 0.0):
             raise DegenerateError("zero sample variance")
-        return _cov(sample.x, sample.y) / (sx * sy)
+        return _cov(sample.x, sample.y) / np.sqrt(vx * vy)
     if which == "rho_t":
         return _rho_t_hat(sample)
     spec = named_transform(which, nu)
@@ -208,4 +227,4 @@ def load_pairs_csv(path: str) -> PairedSample:
         raise DomainError(
             f"non-numeric or malformed rows at line(s): {', '.join(map(str, bad))}"
         )
-    return PairedSample(np.array(xs), np.array(ys))
+    return PairedSample(xs, ys)

@@ -336,3 +336,129 @@ def test_untied_sample_does_not_warn():
         warnings.simplefilter("error")
         for which in ("gini", "rho_t", "pearson"):
             estimate_named(sample, which)
+
+
+# -- one sort per sample: identity, the ranked-view memo, sorted-order oracles --
+
+from qtcorr.estimation import _cov, _coupled_cov, _ranked, _sorted_cells, _sorted_runs  # noqa: E402
+
+_NAMED = [
+    ("pearson", None),
+    ("gini", None),
+    ("or_based", None),
+    ("cre_based", None),
+    ("rho_t", None),
+    ("egini", 0.5),
+    ("egini", 3.0),
+]
+
+
+def _sweep(sample):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return [estimate_named(sample, which, nu) for which, nu in _NAMED]
+
+
+def test_paired_sample_is_compared_by_identity_and_owns_read_only_columns():
+    x, y = np.array([1.0, 2.0, 2.0, 3.0, 5.0]), np.array([2.0, 1.0, 4.0, 3.0, 6.0])
+    a, b = PairedSample(x, y), PairedSample(x, y)
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
+    with pytest.raises(ValueError):
+        a.x[0] = 9.0
+    with pytest.raises(ValueError):
+        a.y[0] = 9.0
+    before = _sweep(a)
+    x[:] = x[::-1]
+    y[0] = -7.0
+    assert _sweep(a) == before
+    assert a.x.tolist() == [1.0, 2.0, 2.0, 3.0, 5.0]
+
+
+def test_all_named_estimators_share_one_sort_per_column(monkeypatch):
+    rng = np.random.default_rng(8)
+    samples = []
+    for _ in range(2):
+        x = np.round(rng.normal(size=10_000), 1)
+        samples.append(PairedSample(x, np.round(x + rng.normal(size=10_000), 1)))
+    argsorts = []
+    _counting(monkeypatch, argsorts, "argsort")
+    _sweep(samples[0])
+    assert len(argsorts) == 2
+    _sweep(samples[0])
+    assert len(argsorts) == 2
+    _sweep(samples[1])
+    assert len(argsorts) == 4
+
+
+def test_interleaved_samples_match_a_cleared_cache():
+    a, b = (PairedSample(x, y) for x, y in list(_tied_columns())[1:])
+    fresh = {}
+    for sample in (a, b):
+        _ranked.cache_clear()
+        fresh[sample] = _sweep(sample)
+    assert [_sweep(s) for s in (a, b, a)] == [fresh[a], fresh[b], fresh[a]]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: estimate_beta_h(s, named_transform("gini").h),
+        lambda s: estimate_named(s, "egini", 3.0),
+        lambda s: estimate_named(s, "rho_t"),
+    ],
+    ids=["estimate_beta_h", "egini", "rho_t"],
+)
+def test_cached_tied_sample_warns_on_every_call(call):
+    sample = PairedSample(
+        np.array([1.0, 2.0, 2.0, 3.0, 4.0]), np.array([1.0, 1.0, 3.0, 4.0, 5.0])
+    )
+    for _ in range(2):
+        hits = _ranked.cache_info().hits
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call(sample)
+        assert [str(w.message) for w in caught] == [
+            "ties in the x column resolved by average ranks",
+            "ties in the y column resolved by average ranks",
+        ]
+        assert all(w.filename == __file__ for w in caught)
+    assert _ranked.cache_info().hits == hits + 1
+
+
+def _oracle_estimate_beta_h(sample, h):
+    """Former estimate_beta_h: cell means scattered to data order, np.cov."""
+    tx = _oracle_rank_cell_means(h, sample.x)
+    ty = _oracle_rank_cell_means(h, sample.y)
+    return np.cov(sample.x, ty)[0, 1] / np.cov(sample.x, tx)[0, 1]
+
+
+@pytest.mark.parametrize("h", _ORACLE_LAWS, ids=lambda h: h.name)
+def test_sorted_order_estimators_match_scatter_oracle(h):
+    for x, y in _tied_columns():
+        sample = PairedSample(x, y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = estimate_beta_h(sample, h)
+        assert got == pytest.approx(_oracle_estimate_beta_h(sample, h), rel=1e-14, abs=0.0)
+        for column in (x, y):  # the decomposition's self-covariances
+            want = np.cov(column, _oracle_rank_cell_means(h, column))[0, 1]
+            assert _coupled_cov(h, column) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_pearson_matches_former_std_ratio():
+    for x, y in _tied_columns():
+        want = np.cov(x, y)[0, 1] / (np.std(x, ddof=1) * np.std(y, ddof=1))
+        got = estimate_named(PairedSample(x, y), "pearson")
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_sorted_order_covariance_keeps_full_precision():
+    # long same-sign stretches: a running-sum dot product is off by about 1e-14 here
+    x = np.round(np.random.default_rng(0).standard_exponential(200_000) ** 2, 1)
+    _, xs, bounds = _sorted_runs(x)
+    for h in (Exponential(1), Logistic(0, 1), Uniform(0, 1)):
+        (cells,) = _sorted_cells(h, x.size, bounds)
+        mx, mc = math.fsum(xs) / x.size, math.fsum(cells) / x.size
+        want = math.fsum((xs - mx) * (cells - mc)) / (x.size - 1)
+        assert _cov(xs, cells) == pytest.approx(want, rel=2e-15, abs=0.0)
