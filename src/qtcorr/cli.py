@@ -65,18 +65,14 @@ def _csv_text(header, rows) -> str:
 
 
 def _config(args) -> IntegrationConfig:
-    method = getattr(args, "method", None) or "quadrature"
-    if method == "mc":
-        method = "monte_carlo"
-    abs_tol = getattr(args, "quad_tol", None)
-    seed = getattr(args, "seed", None)
-    samples = getattr(args, "samples", None)
-    return IntegrationConfig(
-        method=method,
-        abs_tol=abs_tol if abs_tol is not None else 1e-8,
-        mc_samples=samples if samples is not None else 10**6,
-        seed=seed if seed is not None else 42,
-    )
+    # only the flags given: the defaults live in IntegrationConfig alone
+    given = {
+        "method": "monte_carlo" if args.method == "mc" else args.method,
+        "abs_tol": args.quad_tol,
+        "mc_samples": args.samples,
+        "seed": args.seed,
+    }
+    return IntegrationConfig(**{k: v for k, v in given.items() if v is not None})
 
 
 def _cmd_table(args) -> int:
@@ -214,15 +210,19 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_output(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--output", default=None, help="output path (default stdout)")
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    _add_output(parser)
     parser.add_argument("--method", choices=("quadrature", "mc"))
     parser.add_argument(
         "--quad-tol", type=float, default=None, help="quadrature absolute tolerance"
     )
     parser.add_argument("--samples", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--output", default=None, help="output path (default stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--h", default=None, help="transform law spec")
     p_est.add_argument("--named", choices=_NAMED_ESTIMATORS, default=None)
     p_est.add_argument("--nu", type=float, default=None, help="extended Gini weight")
-    _add_common(p_est)
+    _add_output(p_est)
     p_est.set_defaults(fn=_cmd_estimate)
 
     p_dec = sub.add_parser("decompose", help="standby-system variability decomposition")

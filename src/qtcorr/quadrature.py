@@ -1,25 +1,35 @@
-"""Adaptive Gauss-Kronrod quadrature, vectorized over panels.
+"""Adaptive Gauss-Kronrod quadrature over boxes in one or two dimensions.
 
-The engine below drives every production integral in this package.  It is a
-global-adaptive (7, 15)-point Gauss-Kronrod scheme: the Kronrod value is the
-panel estimate, |K15 - G7| the (conservative) error estimate, and the worst
-panels are bisected in batches until the summed error estimate meets the
-absolute tolerance.  Integrands are evaluated on whole node arrays at once,
-so callers must accept numpy arrays.
+One driver, :func:`_adapt`, computes every production integral in this
+package; :func:`integrate` and :func:`integrate_2d` are its 1-D and 2-D
+entry points.  It is a global-adaptive (7, 15)-point Gauss-Kronrod scheme
+over d-dimensional boxes: the tensor K15**d rule gives a box's value and
+|K15**d - G7**d| its (conservative) error estimate.  Each round bisects the
+worst boxes (up to a batch, each within a factor 8 of the worst) across
+their longest side, the first axis on a tie, until the summed error
+estimate meets the absolute tolerance; a box narrower than a floor on every
+axis is retired.  Batch size, floor, and the budget and initial grid of
+main and collar boxes are per-dimension constants, not options.  Integrands
+get one flat node array per axis, so callers must accept numpy arrays.
 
-Unit-interval helpers handle integrals of quantile-style integrands over
-(0, 1).  Both tails are mapped through u = s**4 (resp. 1 - u = s**4), which
-flattens every algebraic endpoint singularity appearing here (the worst is
-(1-u)**(-3/2) from heavy-tailed quantile densities) into a bounded integrand.
-Truncating the transformed variable at ``tail_eps`` therefore leaves a
-genuinely negligible tail, and the collar run that halves the effective
-truncation verifies this at run time: a collar contribution at or above
-``abs_tol`` signals a divergent or tail-dominated integral and raises.
+:func:`_unit_cube` integrates quantile-style integrands over (0, 1)**d.
+Each axis splits at 1/2 and both tails are mapped through u = s**4 (resp.
+1 - u = s**4), which flattens every algebraic endpoint singularity here
+(the worst is (1-u)**(-3/2) from heavy-tailed quantile densities) into a
+bounded integrand.  Each of the 2**d orthants runs the main box
+[s0, s_half]**d, with s0 = ``tail_eps`` and s_half = 2**(-1/4), at
+abs_tol / 2**d.  Its collar, the region that halving the truncation adds,
+is every product of per-axis sides {[s0 s_half, s0], [s0, s_half]} but the
+all-main one, each run at abs_tol / 2**(d+1).  A collar contribution at or
+above ``abs_tol`` signals a divergent or tail-dominated integral and raises.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
+import itertools
+import math
 from collections.abc import Callable
 
 import numpy as np
@@ -65,27 +75,98 @@ XGK = np.concatenate([-_XGK_HALF[:-1], _XGK_HALF[::-1]])  # 15 ascending nodes
 WGK = np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])
 WG7 = np.concatenate([_WG7_HALF[:-1], _WG7_HALF[::-1]])  # weights of nodes 1,3,..,13
 
-_TAIL_POWER = 4
+
+# Per-dimension constants, keyed by d: boxes bisected per round, the width
+# (relative to the span) below which a box is retired, and the (budget,
+# initial grid per side) of a main box and of a collar box.
+_BATCH = {1: 32, 2: 64}
+_FLOOR = {1: 1e-15, 2: 1e-14}
+_MAIN = {1: (4096, 8), 2: (150_000, 4)}
+_COLLAR = {1: (64, 2), 2: (128, 1)}
+
+# Kronrod node of each axis at each point of the flattened 15**d tensor grid,
+# and the rule's contraction of a (n, 15, ..., 15) block of node values with
+# the same per-axis weights on every axis, keyed by d.
+_GRID = {d: XGK[np.indices((15,) * d).reshape(d, -1)] for d in (1, 2)}
+_CONTRACT = {1: lambda y, w: y @ w, 2: lambda y, w: np.einsum("cij,i,j->c", y, w, w)}
 
 
-def _eval_panels(f, a: np.ndarray, b: np.ndarray):
-    """Kronrod value and |K15 - G7| error estimate for a batch of panels."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x = mid[:, None] + half[:, None] * XGK[None, :]
-    y = np.asarray(f(x.reshape(-1)), dtype=float).reshape(x.shape)
-    if not np.all(np.isfinite(y)):
+def _eval_boxes(f, lo: np.ndarray, hi: np.ndarray):
+    """Tensor K15**d value and |K15**d - G7**d| error for (n, d) boxes."""
+    n, d = lo.shape
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi)).T[:, :, None] + half.T[:, :, None] * _GRID[d][:, None, :]
+    y = np.asarray(f(*x.reshape(d, -1)), dtype=float).reshape((n,) + (15,) * d)
+    if not np.isfinite(y).all():
         raise NumericalError("integrand returned a non-finite value")
-    kron = half * (y @ WGK)
-    gauss = half * (y[:, 1::2] @ WG7)
+    vol = math.prod(half.T)
+    kron = vol * _CONTRACT[d](y, WGK)
+    gauss = vol * _CONTRACT[d](y[(slice(None),) + (slice(1, None, 2),) * d], WG7)
     return kron, np.abs(kron - gauss)
 
 
-def _geometric_edges(a: float, b: float, n: int) -> np.ndarray:
-    """Panel edges for [a, b]; geometric when the interval spans decades."""
+@functools.lru_cache(maxsize=64)
+def _geometric_edges(a: float, b: float, n: int) -> tuple[float, ...]:
+    """Panel edges for [a, b]; geometric when the interval spans decades.
+
+    Memoised: the intervals are few and ``np.geomspace`` is slow.
+    """
     if a > 0.0 and b / a > 100.0:
-        return np.geomspace(a, b, n + 1)
-    return np.linspace(a, b, n + 1)
+        return tuple(np.geomspace(a, b, n + 1).tolist())
+    return tuple(np.linspace(a, b, n + 1).tolist())
+
+
+def _adapt(f, lo: tuple, hi: tuple, abs_tol: float, max_boxes: int, init: int, strict: bool):
+    """Integrate ``f`` over the box [lo, hi] (d-tuples); see the module docstring."""
+    d = len(lo)
+    if not all(b > a for a, b in zip(lo, hi)):
+        return 0.0, 0.0
+    edges = [_geometric_edges(a, b, min(init, max_boxes)) for a, b in zip(lo, hi)]
+    los = list(itertools.product(*(e[:-1] for e in edges)))
+    his = list(itertools.product(*(e[1:] for e in edges)))
+    vals, errs = (v.tolist() for v in _eval_boxes(f, np.array(los), np.array(his)))
+    heap = [(-e, i) for i, e in enumerate(errs)]
+    heapq.heapify(heap)
+    floor = [_FLOOR[d] * (b - a) for a, b in zip(lo, hi)]
+
+    while sum(errs) > abs_tol:
+        batch = []
+        worst = None
+        while heap and len(batch) < _BATCH[d]:
+            negerr, i = heapq.heappop(heap)
+            if worst is None:
+                worst = -negerr
+            elif -negerr < worst / 8.0:
+                heapq.heappush(heap, (negerr, i))
+                break
+            if any(b - a > w for a, b, w in zip(los[i], his[i], floor)):
+                batch.append(i)
+        if not batch or len(los) + 2 * len(batch) > max_boxes:
+            if strict:
+                why = "box budget" if batch else "width floor"
+                raise NumericalError(f"quadrature did not converge ({why})")
+            break
+        # Halve each box across its longest side (first on a tie): left halves, then right.
+        left_hi, right_lo = [], []
+        for i in batch:
+            a, b = los[i], his[i]
+            widths = [q - p for p, q in zip(a, b)]
+            k = widths.index(max(widths))
+            mid = 0.5 * (a[k] + b[k])
+            left_hi.append(b[:k] + (mid,) + b[k + 1 :])
+            right_lo.append(a[:k] + (mid,) + a[k + 1 :])
+        new_lo = [los[i] for i in batch] + right_lo
+        new_hi = left_hi + [his[i] for i in batch]
+        nv, ne = (v.tolist() for v in _eval_boxes(f, np.array(new_lo), np.array(new_hi)))
+        for i in batch:
+            vals[i] = errs[i] = 0.0
+        for j, e in enumerate(ne, len(los)):
+            heapq.heappush(heap, (-e, j))
+        los += new_lo
+        his += new_hi
+        vals += nv
+        errs += ne
+    return float(sum(vals)), float(sum(errs))
 
 
 def integrate(
@@ -94,8 +175,8 @@ def integrate(
     b: float,
     abs_tol: float,
     *,
-    max_panels: int = 4096,
-    init: int = 8,
+    max_panels: int = _MAIN[1][0],
+    init: int = _MAIN[1][1],
     strict: bool = True,
 ) -> tuple[float, float]:
     """Integrate ``f`` over [a, b] to absolute tolerance ``abs_tol``.
@@ -104,67 +185,7 @@ def integrate(
     budget overrun raises :class:`NumericalError`; otherwise the best
     available estimate is returned.
     """
-    if not b > a:
-        return 0.0, 0.0
-    edges = _geometric_edges(a, b, min(init, max_panels))
-    lo, hi = list(edges[:-1]), list(edges[1:])
-    vals, errs = _eval_panels(f, np.array(lo), np.array(hi))
-    vals, errs = list(vals), list(errs)
-    heap = [(-errs[i], i) for i in range(len(lo))]
-    heapq.heapify(heap)
-    span = b - a
-
-    while sum(errs) > abs_tol:
-        batch = []
-        worst = None
-        while heap and len(batch) < 32:
-            negerr, i = heapq.heappop(heap)
-            if worst is None:
-                worst = -negerr
-            elif -negerr < worst / 8.0:
-                heapq.heappush(heap, (negerr, i))
-                break
-            if hi[i] - lo[i] > 1e-15 * span:
-                batch.append(i)
-        if not batch:
-            if strict:
-                raise NumericalError("quadrature did not converge (panel floor)")
-            break
-        if len(lo) + 2 * len(batch) > max_panels:
-            if strict:
-                raise NumericalError("quadrature did not converge (panel budget)")
-            break
-        mids = [0.5 * (lo[i] + hi[i]) for i in batch]
-        na = np.array([lo[i] for i in batch] + mids)
-        nb = np.array(mids + [hi[i] for i in batch])
-        nv, ne = _eval_panels(f, na, nb)
-        for i in batch:
-            vals[i] = 0.0
-            errs[i] = 0.0
-        for j in range(len(na)):
-            lo.append(na[j])
-            hi.append(nb[j])
-            vals.append(nv[j])
-            errs.append(ne[j])
-            heapq.heappush(heap, (-ne[j], len(lo) - 1))
-    return float(sum(vals)), float(sum(errs))
-
-
-def _eval_cells(f, ax, bx, ay, by):
-    """Tensor K15xK15 value and error estimate for a batch of cells."""
-    hx = 0.5 * (bx - ax)
-    hy = 0.5 * (by - ay)
-    x = (0.5 * (ax + bx))[:, None] + hx[:, None] * XGK[None, :]
-    y = (0.5 * (ay + by))[:, None] + hy[:, None] * XGK[None, :]
-    xx = np.broadcast_to(x[:, :, None], (x.shape[0], 15, 15))
-    yy = np.broadcast_to(y[:, None, :], (y.shape[0], 15, 15))
-    z = np.asarray(f(xx.reshape(-1), yy.reshape(-1)), dtype=float).reshape(xx.shape)
-    if not np.all(np.isfinite(z)):
-        raise NumericalError("integrand returned a non-finite value")
-    area = hx * hy
-    kron = area * np.einsum("cij,i,j->c", z, WGK, WGK)
-    gauss = area * np.einsum("cij,i,j->c", z[:, 1::2, 1::2], WG7, WG7)
-    return kron, np.abs(kron - gauss)
+    return _adapt(f, (a,), (b,), abs_tol, max_panels, init, strict)
 
 
 def integrate_2d(
@@ -175,93 +196,59 @@ def integrate_2d(
     by: float,
     abs_tol: float,
     *,
-    max_cells: int = 150_000,
-    init: int = 4,
+    max_panels: int = _MAIN[2][0],
+    init: int = _MAIN[2][1],
     strict: bool = True,
 ) -> tuple[float, float]:
-    """Integrate ``f(x, y)`` over [ax, bx] x [ay, by] adaptively.
+    """Integrate ``f(x, y)`` over [ax, bx] x [ay, by] like :func:`integrate`.
 
-    Cells are split across their longer side; ``f`` receives flat arrays.
+    ``f`` receives flat arrays; ``init`` is the initial grid per side.
     """
-    if not (bx > ax and by > ay):
-        return 0.0, 0.0
-    ex = _geometric_edges(ax, bx, init)
-    ey = _geometric_edges(ay, by, init)
-    cax, cbx, cay, cby = [], [], [], []
-    for i in range(init):
-        for j in range(init):
-            cax.append(ex[i])
-            cbx.append(ex[i + 1])
-            cay.append(ey[j])
-            cby.append(ey[j + 1])
-    vals, errs = _eval_cells(f, np.array(cax), np.array(cbx), np.array(cay), np.array(cby))
-    vals, errs = list(vals), list(errs)
-    heap = [(-errs[i], i) for i in range(len(cax))]
-    heapq.heapify(heap)
-    span_x, span_y = bx - ax, by - ay
-
-    while sum(errs) > abs_tol:
-        batch = []
-        worst = None
-        while heap and len(batch) < 64:
-            negerr, i = heapq.heappop(heap)
-            if worst is None:
-                worst = -negerr
-            elif -negerr < worst / 8.0:
-                heapq.heappush(heap, (negerr, i))
-                break
-            if (cbx[i] - cax[i]) > 1e-14 * span_x or (cby[i] - cay[i]) > 1e-14 * span_y:
-                batch.append(i)
-        if not batch:
-            if strict:
-                raise NumericalError("quadrature did not converge (cell floor)")
-            break
-        if len(cax) + 2 * len(batch) > max_cells:
-            if strict:
-                raise NumericalError("quadrature did not converge (cell budget)")
-            break
-        nax, nbx, nay, nby = [], [], [], []
-        for i in batch:
-            wx, wy = cbx[i] - cax[i], cby[i] - cay[i]
-            if wx >= wy:
-                mx = 0.5 * (cax[i] + cbx[i])
-                nax += [cax[i], mx]
-                nbx += [mx, cbx[i]]
-                nay += [cay[i], cay[i]]
-                nby += [cby[i], cby[i]]
-            else:
-                my = 0.5 * (cay[i] + cby[i])
-                nax += [cax[i], cax[i]]
-                nbx += [cbx[i], cbx[i]]
-                nay += [cay[i], my]
-                nby += [my, cby[i]]
-            vals[i] = 0.0
-            errs[i] = 0.0
-        nv, ne = _eval_cells(f, np.array(nax), np.array(nbx), np.array(nay), np.array(nby))
-        for j in range(len(nax)):
-            cax.append(nax[j])
-            cbx.append(nbx[j])
-            cay.append(nay[j])
-            cby.append(nby[j])
-            vals.append(nv[j])
-            errs.append(ne[j])
-            heapq.heappush(heap, (-ne[j], len(cax) - 1))
-    return float(sum(vals)), float(sum(errs))
+    return _adapt(f, (ax, ay), (bx, by), abs_tol, max_panels, init, strict)
 
 
-# ---------------------------------------------------------------------------
-# Unit-interval integrals of quantile-style integrands
-# ---------------------------------------------------------------------------
-
+_TAIL_POWER = 4
 _S_HALF = 0.5 ** (1.0 / _TAIL_POWER)  # s value mapping to u = 1/2
 
 
-def _half_integrand(g, upper: bool):
-    def f(s: np.ndarray) -> np.ndarray:
-        p = s**_TAIL_POWER
-        return g(p, upper) * (_TAIL_POWER * s ** (_TAIL_POWER - 1))
+def _orthant_integrand(g, uppers: tuple):
+    jac = float(_TAIL_POWER ** len(uppers))
+
+    def f(*s: np.ndarray) -> np.ndarray:
+        w = jac
+        args = []
+        for sk, upper in zip(s, uppers):
+            w = w * sk ** (_TAIL_POWER - 1)
+            args += [sk**_TAIL_POWER, upper]
+        return g(*args) * w
 
     return f
+
+
+def _unit_cube(g, d: int, abs_tol: float, tail_eps: float) -> float:
+    """Integrate ``g`` over (0, 1)**d with per-axis tail substitution."""
+    engine = (integrate, integrate_2d)[d - 1]  # looked up per call: tracers patch them
+    budget, init = _COLLAR[d]
+    main = (tail_eps, _S_HALF)
+    collar_side = (tail_eps * _S_HALF, tail_eps)
+    total = collar = collar_err = 0.0
+    for uppers in itertools.product((False, True), repeat=d):
+        f = _orthant_integrand(g, uppers)
+        val, _ = engine(f, *main * d, abs_tol / 2**d)
+        total += val
+        for mask in range(1, 2**d):
+            box = [x for k in range(d) for x in (collar_side if mask >> k & 1 else main)]
+            cval, cerr = engine(
+                f, *box, abs_tol / 2 ** (d + 1), max_panels=budget, init=init, strict=False
+            )
+            collar += cval
+            collar_err += cerr
+    if abs(collar) + collar_err >= abs_tol:
+        raise NumericalError(
+            "integral is tail-sensitive: halving the tail truncation moved "
+            f"the result by ~{abs(collar) + collar_err:.3e} (>= abs_tol)"
+        )
+    return total + collar
 
 
 def unit_integral(
@@ -274,42 +261,10 @@ def unit_integral(
     ``g(p, upper)`` must return the integrand at u = p when ``upper`` is
     False and at u = 1 - p when True, so callers can evaluate both tails
     without forming 1 - u in floating point.  The effective truncation is
-    u within [tail_eps**4, 1 - tail_eps**4]; the collar that would halve
-    that truncation is integrated separately and must stay below
-    ``abs_tol`` (otherwise the integral is declared tail-sensitive).
+    u within [tail_eps**4, 1 - tail_eps**4]; a collar that halving it adds
+    at or above ``abs_tol`` raises (the integral is tail-sensitive).
     """
-    s0 = tail_eps
-    s_collar = s0 * 0.5 ** (1.0 / _TAIL_POWER)
-    total = 0.0
-    collar = 0.0
-    collar_err = 0.0
-    for upper in (False, True):
-        f = _half_integrand(g, upper)
-        val, _ = integrate(f, s0, _S_HALF, abs_tol / 2.0)
-        cval, cerr = integrate(
-            f, s_collar, s0, abs_tol / 4.0, max_panels=64, init=2, strict=False
-        )
-        total += val
-        collar += cval
-        collar_err += cerr
-    if abs(collar) + collar_err >= abs_tol:
-        raise NumericalError(
-            "integral is tail-sensitive: halving the tail truncation moved "
-            f"the result by ~{abs(collar) + collar_err:.3e} (>= abs_tol)"
-        )
-    return total + collar
-
-
-def _quadrant_integrand(g2, upper_u: bool, upper_v: bool):
-    jac = float(_TAIL_POWER * _TAIL_POWER)
-
-    def f(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        pu = s**_TAIL_POWER
-        pv = t**_TAIL_POWER
-        w = jac * s ** (_TAIL_POWER - 1) * t ** (_TAIL_POWER - 1)
-        return g2(pu, upper_u, pv, upper_v) * w
-
-    return f
+    return _unit_cube(g, 1, abs_tol, tail_eps)
 
 
 def unit_integral_2d(
@@ -319,35 +274,7 @@ def unit_integral_2d(
 ) -> float:
     """Integrate ``g2`` over the unit square with per-axis tail substitution.
 
-    ``g2(pu, upper_u, pv, upper_v)`` mirrors :func:`unit_integral`: each
-    axis is evaluated from whichever end is numerically exact.  The square
-    splits into four quadrants at (1/2, 1/2); each runs with budget
-    abs_tol / 4.  Collar frames (the region a halved truncation would add)
-    are integrated cheaply and gate the same tail-sensitivity check.
+    ``g2(pu, upper_u, pv, upper_v)`` mirrors :func:`unit_integral` on each
+    axis, and the same collar check applies.
     """
-    s0 = tail_eps
-    s1 = s0 * 0.5 ** (1.0 / _TAIL_POWER)
-    total = 0.0
-    collar = 0.0
-    collar_err = 0.0
-    for upper_u in (False, True):
-        for upper_v in (False, True):
-            f = _quadrant_integrand(g2, upper_u, upper_v)
-            val, _ = integrate_2d(f, s0, _S_HALF, s0, _S_HALF, abs_tol / 4.0)
-            total += val
-            for rect in (
-                (s1, s0, s0, _S_HALF),
-                (s0, _S_HALF, s1, s0),
-                (s1, s0, s1, s0),
-            ):
-                cval, cerr = integrate_2d(
-                    f, *rect, abs_tol / 8.0, max_cells=128, init=1, strict=False
-                )
-                collar += cval
-                collar_err += cerr
-    if abs(collar) + collar_err >= abs_tol:
-        raise NumericalError(
-            "double integral is tail-sensitive: halving the tail truncation "
-            f"moved the result by ~{abs(collar) + collar_err:.3e} (>= abs_tol)"
-        )
-    return total + collar
+    return _unit_cube(g2, 2, abs_tol, tail_eps)

@@ -221,6 +221,12 @@ def test_estimate_named_and_errors(capsys, tmp_path):
     assert json.loads(out)["estimate"] < -0.9
     # exactly one of --h/--named
     assert run_cli(capsys, "estimate", "--input", str(path))[0] == 1
+    # the plug-in estimators take no integration flags
+    code, out, err = run_cli(
+        capsys, "estimate", "--input", str(path), "--named", "pearson", "--samples", "0"
+    )
+    assert (code, out) == (1, "")
+    assert "--samples" in err
     bad = tmp_path / "bad.csv"
     bad.write_text("1.0,2.0\nnope,4.0\n")
     code, _, err = run_cli(capsys, "estimate", "--input", str(bad), "--named", "pearson")

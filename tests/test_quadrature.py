@@ -29,10 +29,21 @@ def test_node_weight_tables_are_consistent():
     assert np.allclose(np.sort(gauss), XGK[1::2], atol=1e-13)
 
 
-@pytest.mark.parametrize("degree", range(23))
-def test_kronrod_polynomial_exactness(degree):
-    value, _ = integrate(lambda x: x**degree, 0.0, 1.0, 1e-13, init=1)
-    assert abs(value - 1.0 / (degree + 1)) < 1e-13
+@pytest.mark.parametrize(
+    "dim, degree",
+    [pytest.param(1, k, id=str(k)) for k in range(23)]
+    + [pytest.param(2, k, id=f"2d-{k}") for k in range(23)],
+)
+def test_kronrod_polynomial_exactness(dim, degree):
+    # one initial cell; in 2-D the integrand is x^degree * y^(22 - degree)
+    if dim == 1:
+        value, _ = integrate(lambda x: x**degree, 0.0, 1.0, 1e-13, init=1)
+        want = 1.0 / (degree + 1)
+    else:
+        f = lambda x, y: x**degree * y ** (22 - degree)
+        value, _ = integrate_2d(f, 0.0, 1.0, 0.0, 1.0, 1e-13, init=1)
+        want = 1.0 / ((degree + 1) * (23 - degree))
+    assert abs(value - want) < 1e-13
 
 
 def test_known_integrals():
@@ -71,16 +82,22 @@ def test_unit_integral_detects_divergence():
     def g(p, upper):
         return 1.0 / p if upper else 1.0 / (1.0 - p)
 
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match="tail-sensitive"):
         unit_integral(g, 1e-9, 1e-9)
+    # the same singularity along u, flat along v; a coarse truncation keeps the
+    # main boxes cheap, since they are split across their longest side
+    with pytest.raises(NumericalError, match="tail-sensitive"):
+        unit_integral_2d(lambda pu, uu, pv, vv: g(pu, uu) + 0.0 * pv, 1e-6, 1e-3)
 
 
 def test_unit_integral_rejects_nan():
     def g(p, upper):
         return np.full_like(p, np.nan)
 
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match="non-finite"):
         unit_integral(g, 1e-9, 1e-9)
+    with pytest.raises(NumericalError, match="non-finite"):
+        unit_integral_2d(lambda pu, uu, pv, vv: g(pu, uu), 1e-9, 1e-9)
 
 
 def test_integrate_2d_product():
@@ -119,5 +136,7 @@ def test_unit_integral_2d_kinked_integrand():
 
 def test_integrate_budget_exhaustion_raises():
     # highly oscillatory with a hopeless budget
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match="budget"):
         integrate(lambda x: np.sin(1e4 * x), 0, 1, 1e-14, max_panels=8, init=1)
+    with pytest.raises(NumericalError, match="budget"):
+        integrate_2d(lambda x, y: np.sin(1e4 * x * y), 0, 1, 0, 1, 1e-14, max_panels=8, init=1)
