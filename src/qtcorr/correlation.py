@@ -22,6 +22,8 @@ coupled-quantile covariances Cov(X, H^{-1} F(X)).  One memoised evaluator
 per (model, config), the last one retained, computes each once: by
 quadrature, or from one seeded Monte Carlo sample, drawn and ranked once,
 for copulas without a CDF such as the Gaussian (``default_config_for``).
+Quadrature values also pass through the process-wide memo of
+:mod:`qtcorr.measures`, keyed on (copula, weight laws, abs_tol, tail_eps).
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .distributions import (
 )
 from .errors import DegenerateError, DomainError, UnsupportedOperationError
 from .estimation import _cov, _rank_cell_means
-from .measures import DEFAULT_CONFIG, IntegrationConfig, g_covariance, gmd
+from .measures import DEFAULT_CONFIG, IntegrationConfig, _once, g_covariance, gmd
 from .quadrature import unit_integral_2d
 
 
@@ -102,13 +104,16 @@ def dependence_integral(
         raise UnsupportedOperationError(
             f"{copula.family} copula cannot be integrated; use monte_carlo"
         )
+    return _once(_dependence_quadrature, (copula, weight_u, weight_v), cfg)
 
+
+def _dependence_quadrature(copula, weight_u, weight_v, abs_tol: float, tail_eps: float) -> float:
     def g2(pu, upper_u, pv, upper_v):
         u, uc, wu = _tail_aware(weight_u, pu, upper_u)
         v, vc, wv = _tail_aware(weight_v, pv, upper_v)
         return copula.excess(u, uc, v, vc) * wu * wv
 
-    return unit_integral_2d(g2, cfg.abs_tol, cfg.tail_eps)
+    return unit_integral_2d(g2, abs_tol, tail_eps)
 
 
 def default_config_for(

@@ -8,12 +8,12 @@ the quantile function), ``mean`` and the rank-preserving map
 work at depths where ``1 - p`` is no longer representable.
 
 All instances are immutable; operations are pure and vectorized over
-numpy arrays (scalars in, scalars out).
+numpy arrays (scalars in, scalars out).  The quantile-side methods pass a
+nonempty float64 array strictly inside (0, 1) straight to the law's hook.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -48,15 +48,6 @@ class Distribution:
     def name(self) -> str:
         return type(self).__name__.lower()
 
-    @property
-    def params(self) -> tuple[float, ...]:
-        out = []
-        for field in dataclasses.fields(self):  # type: ignore[arg-type]
-            value = getattr(self, field.name)
-            if isinstance(value, (int, float)):
-                out.append(float(value))
-        return tuple(out)
-
     def cdf(self, x):
         arr, scalar = _as_array(x)
         lo, hi = self.support
@@ -70,44 +61,43 @@ class Distribution:
         return _ret(np.clip(out, 0.0, 1.0), scalar)
 
     def quantile(self, p):
-        arr, scalar = _as_array(p)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise DomainError(f"quantile requires p in [0, 1], got {p!r}")
-        out = np.empty_like(arr)
-        at0 = arr == 0.0
-        at1 = arr == 1.0
-        inside = ~(at0 | at1)
-        out[at0] = self.support[0]
-        out[at1] = self.support[1]
-        out[inside] = self._quantile(arr[inside])
-        return _ret(out, scalar)
+        message = "quantile requires p in [0, 1], got {!r}"
+        return self._at(p, self._quantile, message, self.support)
 
     def quantile_comp(self, q):
         """quantile(1 - q), accurate for very small q."""
-        arr, scalar = _as_array(q)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise DomainError(f"quantile_comp requires q in [0, 1], got {q!r}")
-        out = np.empty_like(arr)
-        at0 = arr == 0.0
-        at1 = arr == 1.0
-        inside = ~(at0 | at1)
-        out[at0] = self.support[1]
-        out[at1] = self.support[0]
-        out[inside] = self._quantile_comp(arr[inside])
-        return _ret(out, scalar)
+        message = "quantile_comp requires q in [0, 1], got {!r}"
+        return self._at(q, self._quantile_comp, message, self.support[::-1])
 
     def quantile_density(self, p):
-        arr, scalar = _as_array(p)
-        if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-            raise DomainError("quantile_density is defined on the open interval (0, 1)")
-        return _ret(self._quantile_density(arr), scalar)
+        message = "quantile_density is defined on the open interval (0, 1)"
+        return self._at(p, self._quantile_density, message, open_interval=True)
 
     def quantile_density_comp(self, q):
         """quantile_density(1 - q), accurate for very small q."""
-        arr, scalar = _as_array(q)
-        if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-            raise DomainError("quantile_density_comp is defined on (0, 1)")
-        return _ret(self._quantile_density_comp(arr), scalar)
+        message = "quantile_density_comp is defined on (0, 1)"
+        return self._at(q, self._quantile_density_comp, message, open_interval=True)
+
+    def _at(self, p, hook, message: str, ends=None, open_interval: bool = False):
+        """hook(p) behind the domain check; ``message`` formats p when p is outside.
+
+        A nonempty float64 array strictly inside (0, 1) goes to the hook as it
+        is.  Anything else is validated; with ``ends``, points at 0 and 1 read
+        those values and only the interior reaches the hook.
+        """
+        if type(p) is np.ndarray and p.dtype == np.float64 and p.ndim and p.size:
+            if p.min() > 0.0 and p.max() < 1.0:  # NaN fails both tests
+                return hook(p)
+        arr, scalar = _as_array(p)
+        outside = (arr <= 0.0) | (arr >= 1.0) if open_interval else (arr < 0.0) | (arr > 1.0)
+        if np.any(outside):
+            raise DomainError(message.format(p))
+        if ends is None:
+            return _ret(hook(arr), scalar)
+        out = np.where(arr == 0.0, float(ends[0]), float(ends[1]))
+        inside = (arr > 0.0) & (arr < 1.0)
+        out[inside] = hook(arr[inside])
+        return _ret(out, scalar)
 
     def mean(self) -> float:
         # Fallback for laws without a closed form: integrate the quantile.
@@ -119,17 +109,13 @@ class Distribution:
 
     def quantile_integral(self, p):
         """Partial quantile mass: integral of quantile(v) dv over [0, p]."""
-        arr, scalar = _as_array(p)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise DomainError(f"quantile_integral requires p in [0, 1], got {p!r}")
-        return _ret(self._quantile_integral(arr), scalar)
+        message = "quantile_integral requires p in [0, 1], got {!r}"
+        return self._at(p, self._quantile_integral, message)
 
     def quantile_integral_comp(self, q):
         """Tail quantile mass: integral of quantile(v) dv over [1 - q, 1]."""
-        arr, scalar = _as_array(q)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise DomainError(f"quantile_integral_comp requires q in [0, 1], got {q!r}")
-        return _ret(self._quantile_integral_comp(arr), scalar)
+        message = "quantile_integral_comp requires q in [0, 1], got {!r}"
+        return self._at(q, self._quantile_integral_comp, message)
 
     def cell_means(self, n: int) -> np.ndarray:
         """Mean quantile over each of n equal probability cells, n * dQI(k / n)."""
@@ -564,10 +550,6 @@ class Empirical(Distribution):
         return "empirical"
 
     @property
-    def params(self) -> tuple[float, ...]:
-        return ()
-
-    @property
     def values(self) -> np.ndarray:
         return self._values
 
@@ -583,19 +565,10 @@ class Empirical(Distribution):
         out = np.searchsorted(self._values, arr, side="right") / self.n
         return _ret(out.astype(float), scalar)
 
-    def quantile(self, p):
-        arr, scalar = _as_array(p)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise DomainError(f"quantile requires p in [0, 1], got {p!r}")
+    def _quantile(self, p):
         # inf{x : F(x) >= p}: the ceil(p * n)-th order statistic, ties to the
         # smallest index.
-        idx = np.ceil(arr * self.n).astype(int)
-        idx = np.clip(idx, 1, self.n) - 1
-        return _ret(self._values[idx], scalar)
-
-    def quantile_comp(self, q):
-        arr, scalar = _as_array(q)
-        return _ret(np.asarray(self.quantile(1.0 - arr)), scalar)
+        return self._values[np.clip(np.ceil(p * self.n).astype(int), 1, self.n) - 1]
 
     def quantile_density(self, p):
         raise DomainError("Empirical has a step CDF; quantile_density is undefined")

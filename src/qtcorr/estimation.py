@@ -71,19 +71,23 @@ def _warn_ties(bx, by) -> None:
             warnings.warn(f"ties in the {label} column resolved by average ranks", stacklevel=level)
 
 
+def _runs(ordered: np.ndarray) -> np.ndarray | None:
+    """Tied-run bounds of sorted values, or None: runs are positions [bounds[k], bounds[k + 1])."""
+    distinct = ordered[1:] != ordered[:-1]
+    if distinct.all():
+        return None
+    return np.append(np.flatnonzero(np.r_[True, distinct]), ordered.size)
+
+
 def _sorted_runs(column: np.ndarray):
     """One sort of a column: (order, sorted values, tied-run bounds or None).
 
-    Tied runs are the sorted positions [bounds[k], bounds[k + 1]); the sort
-    need not be stable, since a tied run shares one value.
+    The sort need not be stable, since a tied run shares one value; callers
+    that discard the order sort with ``np.sort`` and call ``_runs``.
     """
     order = np.argsort(column)
     ordered = column[order]
-    distinct = ordered[1:] != ordered[:-1]
-    bounds = None
-    if not distinct.all():
-        bounds = np.append(np.flatnonzero(np.r_[True, distinct]), column.size)
-    return order, ordered, bounds
+    return order, ordered, _runs(ordered)
 
 
 def _pooled(sorted_values: np.ndarray, bounds: np.ndarray | None) -> np.ndarray:
@@ -133,16 +137,16 @@ def _rank_cell_means(h: Distribution, column: np.ndarray) -> np.ndarray:
 
 def _coupled_cov(h: Distribution, column: np.ndarray) -> float:
     """Cov(column, its H^{-1} rank-cell means), taken in sorted order."""
-    _, ordered, bounds = _sorted_runs(column)
-    return _cov(ordered, _sorted_cells(h, column.size, bounds)[0])
+    ordered = np.sort(column)
+    return _cov(ordered, _sorted_cells(h, column.size, _runs(ordered))[0])
 
 
 @functools.lru_cache(maxsize=1)  # keyed on the sample's identity; holds the last sample
 def _ranked(sample: PairedSample):
     """(sorted x, its tied-run bounds, sorted y, its bounds, x in the order of y)."""
-    _, xs, bx = _sorted_runs(sample.x)
+    xs = np.sort(sample.x)
     oy, ys, by = _sorted_runs(sample.y)
-    return xs, bx, ys, by, sample.x[oy]
+    return xs, _runs(xs), ys, by, sample.x[oy]
 
 
 def estimate_beta_h(sample: PairedSample, h: Distribution) -> float:

@@ -11,6 +11,13 @@ integral (variance, Gini mean difference, cumulative residual entropy and
 its generalization, log-odds covariance, extended Gini, record-value
 gaps), so there is a single production code path; the direct x-domain
 integral forms live only in the test suite as independent oracles.
+
+Each distinct quadrature integral is computed once per process: one
+``lru_cache`` of 1024 floats, ``_quadrature_memo``, shared with
+``correlation.dependence_integral``, keys ``g_covariance`` on the unordered
+law pair plus (abs_tol, tail_eps), never the method or seed.  Keys hold
+only hashable dataclass laws of numbers, so no array data (no ``Empirical``
+law) is retained; errors are not cached.  Tests reset it with ``cache_clear``.
 """
 
 from __future__ import annotations
@@ -65,6 +72,26 @@ class IntegrationConfig:
 
 
 DEFAULT_CONFIG = IntegrationConfig()
+
+
+def _by_value(x) -> bool:
+    """True for numbers and for hashable dataclasses of them, such as laws and copulas."""
+    names = getattr(type(x), "__dataclass_fields__", None)
+    if names is None:
+        return isinstance(x, (int, float))
+    return type(x).__hash__ is not None and all(_by_value(getattr(x, n)) for n in names)
+
+
+@functools.lru_cache(maxsize=1024)
+def _quadrature_memo(integral, *key) -> float:
+    return integral(*key)
+
+
+def _once(integral, args, cfg: IntegrationConfig) -> float:
+    """integral(*args, abs_tol, tail_eps), integrated once per process when args are by value."""
+    if all(map(_by_value, args)):
+        return _quadrature_memo(integral, *args, cfg.abs_tol, cfg.tail_eps)
+    return integral(*args, cfg.abs_tol, cfg.tail_eps)
 
 
 def _is_degenerate(d: Distribution) -> bool:
@@ -144,15 +171,18 @@ def g_covariance(
         raw = _empirical_mixed_integral(f, g)
     elif isinstance(g, Empirical):
         raw = _empirical_mixed_integral(g, f)
-    else:
-
-        def integrand(p, upper):
-            if upper:
-                return f.quantile_comp(p) * g.quantile_comp(p)
-            return f.quantile(p) * g.quantile(p)
-
-        raw = unit_integral(integrand, cfg.abs_tol, cfg.tail_eps)
+    else:  # F^{-1} G^{-1} and the means commute exactly: one entry serves both orders
+        return _once(_coupled_quadrature, sorted((f, g), key=repr), cfg)
     return raw - f.mean() * g.mean()
+
+
+def _coupled_quadrature(f, g, abs_tol: float, tail_eps: float) -> float:
+    def integrand(p, upper):
+        if upper:
+            return f.quantile_comp(p) * g.quantile_comp(p)
+        return f.quantile(p) * g.quantile(p)
+
+    return unit_integral(integrand, abs_tol, tail_eps) - f.mean() * g.mean()
 
 
 def gmd(f: Distribution, cfg: IntegrationConfig = DEFAULT_CONFIG) -> float:

@@ -522,3 +522,57 @@ def test_degenerate_denominator():
     model = BivariateModel(Independence(), flat, Exponential(1))
     with pytest.raises(DegenerateError):
         beta_h(model, named_transform("gini"))
+
+
+# -- the process-wide quadrature memo ------------------------------------------
+
+import qtcorr.quadrature as quadrature  # noqa: E402
+from qtcorr.measures import _quadrature_memo  # noqa: E402
+
+
+def _engine_calls(monkeypatch) -> list:
+    calls = []
+    for name in ("integrate", "integrate_2d"):
+        engine = getattr(quadrature, name)
+        monkeypatch.setattr(
+            quadrature, name, lambda *a, e=engine, **k: calls.append(e.__name__) or e(*a, **k)
+        )
+    return calls
+
+
+def test_dependence_integral_memo_is_bit_identical_and_ignores_method_and_seed(monkeypatch):
+    calls = _engine_calls(monkeypatch)
+    _quadrature_memo.cache_clear()
+    args = (AMH(-1.0), Logistic(0.0, 1.0), Exponential(1.0))
+    first = dependence_integral(*args)
+    assert "integrate_2d" in calls and type(first) is float
+    calls.clear()
+    assert repr(dependence_integral(AMH(-1.0), Logistic(0.0, 1.0), Exponential(1.0))) == repr(first)
+    mc = IntegrationConfig(method="monte_carlo", mc_samples=5000, seed=11)
+    assert dependence_integral(*args, mc) == first
+    assert calls == [] and _quadrature_memo.cache_info().currsize == 1
+    # the weights are ordered: the reversed pair is another integral
+    dependence_integral(AMH(-1.0), Exponential(1.0), Logistic(0.0, 1.0))
+    assert "integrate_2d" in calls and _quadrature_memo.cache_info().currsize == 2
+
+
+def test_dependence_integral_memo_never_caches_a_refusal():
+    _quadrature_memo.cache_clear()
+    for _ in range(2):
+        with pytest.raises(UnsupportedOperationError):
+            dependence_integral(GaussianCopula(0.5), Normal(0, 1), Uniform(0, 1))
+    assert _quadrature_memo.cache_info().currsize == 0
+
+
+def test_models_sharing_copula_margin_and_transform_share_every_integral(monkeypatch):
+    calls = _engine_calls(monkeypatch)
+    _quadrature_memo.cache_clear()
+    _evaluator.cache_clear()
+    spec = named_transform("gini")
+    first = beta_h(BivariateModel(GumbelBarnett(1.0), Exponential(1.0), Exponential(1.0)), spec)
+    assert calls
+    calls.clear()
+    # beta_h depends on the copula, F and H only: another Y margin integrates nothing
+    other = BivariateModel(GumbelBarnett(1.0), Exponential(1.0), Weibull(1.0, 2.0))
+    assert beta_h(other, spec) == first
+    assert calls == []

@@ -329,3 +329,82 @@ def test_power_round_trip_property(nu, p):
     law = Power(nu)
     x = law.quantile(p)
     assert abs(law.quantile(law.cdf(x)) - x) <= 1e-9 * (1.0 + abs(x))
+
+
+# -- the interior fast path of the quantile-side methods -----------------------
+
+_DERIVED = [
+    Affine(Normal(0.0, 1.0), 2.0, 3.0),
+    Affine(Pareto(0.8), -1.0, 0.5),
+    Reflected(Gumbel(0.0, 1.0)),
+    Reflected(Weibull(1.0, 0.5)),
+    ExpTransformed(Normal(0.0, 1.0)),
+    ExpTransformed(Logistic(0.0, 0.5)),
+]
+_POINT_METHODS = ("quantile", "quantile_comp", "quantile_density", "quantile_density_comp")
+_CLOSED_MESSAGES = {
+    "quantile": "quantile requires p in [0, 1], got {!r}",
+    "quantile_comp": "quantile_comp requires q in [0, 1], got {!r}",
+    "quantile_integral": "quantile_integral requires p in [0, 1], got {!r}",
+    "quantile_integral_comp": "quantile_integral_comp requires q in [0, 1], got {!r}",
+}
+_OPEN_MESSAGES = {
+    "quantile_density": "quantile_density is defined on the open interval (0, 1)",
+    "quantile_density_comp": "quantile_density_comp is defined on (0, 1)",
+}
+
+
+def _interior_points():
+    rng = np.random.default_rng(0)
+    return np.concatenate([rng.random(196), [1e-30, 1e-12, 0.5, 1.0 - 2.0**-53]])
+
+
+@pytest.mark.parametrize("law", CATALOG + _DERIVED, ids=lambda d: repr(d))
+def test_interior_arrays_match_the_masked_path_bit_for_bit(law):
+    p = _interior_points()
+    for name in _POINT_METHODS:
+        method = getattr(law, name)
+        for arr in (p, p.reshape(8, 25), p[::3], np.asfortranarray(p.reshape(20, 10))):
+            got = method(arr)
+            masked = method(arr.tolist())  # a list is validated and masked
+            assert type(got) is np.ndarray and got.dtype == np.float64
+            assert got.shape == arr.shape
+            assert got.tobytes() == np.ascontiguousarray(masked).tobytes(), name
+
+
+def test_empirical_interior_quantiles_match_the_masked_path():
+    law = Empirical(np.round(np.random.default_rng(1).normal(size=997), 1))
+    p = _interior_points()
+    for name in ("quantile", "quantile_comp"):
+        got = getattr(law, name)(p)
+        assert got.tobytes() == getattr(law, name)(p.tolist()).tobytes()
+
+
+@pytest.mark.parametrize("law", CATALOG + _DERIVED + [Uniform(0, 1)], ids=lambda d: repr(d))
+def test_inputs_off_the_fast_path_keep_types_ends_and_messages(law):
+    lo, hi = law.support
+    for name in _POINT_METHODS:
+        method = getattr(law, name)
+        for x in (0.3, np.float64(0.3), np.array(0.3), np.float32(0.3), np.array(0.3, np.float32)):
+            assert type(method(x)) is float
+        for arr in (np.array([0.25, 0.5], np.float32), np.array([], float)):
+            out = method(arr)
+            assert type(out) is np.ndarray and out.dtype == np.float64
+            assert out.shape == arr.shape
+        for nan in (math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(DomainError, match="^NaN is not a valid argument$"):
+                method(nan)
+    for name, message in _CLOSED_MESSAGES.items():
+        for bad in (-0.1, 1.5, np.array([0.5, 1.5]), np.array([-1, 0]), [0.2, 2.0]):
+            with pytest.raises(DomainError) as err:
+                getattr(law, name)(bad)
+            assert str(err.value) == message.format(bad)
+    for name, message in _OPEN_MESSAGES.items():
+        for bad in (0.0, 1.0, -0.5, np.array([0.5, 1.0]), np.array([0, 1]), [0.0, 0.5]):
+            with pytest.raises(DomainError) as err:
+                getattr(law, name)(bad)
+            assert str(err.value) == message
+    for ends in (law.quantile(np.array([0, 1])), law.quantile_comp(np.array([1.0, 0.0, 0.5]))):
+        assert ends.dtype == np.float64 and ends[:2].tolist() == [lo, hi]
+    ends = (law.quantile(0.0), law.quantile(1), law.quantile_comp(np.array(0.0)))
+    assert ends == (lo, hi, hi) and all(type(x) is float for x in ends)

@@ -295,14 +295,15 @@ def test_one_sort_per_column(monkeypatch, which):
     rng = np.random.default_rng(8)
     x = np.round(rng.normal(size=10_000), 1)
     sample = PairedSample(x, np.round(x + rng.normal(size=10_000), 1))
-    argsorts, others = [], []
-    _counting(monkeypatch, argsorts, "argsort")
+    sorts, others = [], []
+    _counting(monkeypatch, sorts, "argsort")
+    _counting(monkeypatch, sorts, "sort")
     _counting(monkeypatch, others, "unique")
     _counting(monkeypatch, others, "interp")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         estimate_named(sample, which)
-    assert len(argsorts) == 2
+    assert len(sorts) == 2
     assert others == []
 
 
@@ -381,14 +382,15 @@ def test_all_named_estimators_share_one_sort_per_column(monkeypatch):
     for _ in range(2):
         x = np.round(rng.normal(size=10_000), 1)
         samples.append(PairedSample(x, np.round(x + rng.normal(size=10_000), 1)))
-    argsorts = []
-    _counting(monkeypatch, argsorts, "argsort")
+    sorts = []
+    _counting(monkeypatch, sorts, "argsort")
+    _counting(monkeypatch, sorts, "sort")
     _sweep(samples[0])
-    assert len(argsorts) == 2
+    assert len(sorts) == 2
     _sweep(samples[0])
-    assert len(argsorts) == 2
+    assert len(sorts) == 2
     _sweep(samples[1])
-    assert len(argsorts) == 4
+    assert len(sorts) == 4
 
 
 def test_interleaved_samples_match_a_cleared_cache():

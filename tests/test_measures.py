@@ -351,3 +351,88 @@ def test_consistency_web():
             g_covariance(f, Logistic(0, 1)), abs=TOL
         )
         assert extended_gini(f, 2.0) == pytest.approx(gmd(f) / 2.0, abs=TOL)
+
+
+# -- the process-wide quadrature memo ------------------------------------------
+
+import gc  # noqa: E402
+import weakref  # noqa: E402
+
+import qtcorr.quadrature as quadrature  # noqa: E402
+from qtcorr.measures import _once, _quadrature_memo  # noqa: E402
+
+
+def _engine_calls(monkeypatch) -> list:
+    calls = []
+    for name in ("integrate", "integrate_2d"):
+        engine = getattr(quadrature, name)
+        monkeypatch.setattr(
+            quadrature, name, lambda *a, e=engine, **k: calls.append(e.__name__) or e(*a, **k)
+        )
+    return calls
+
+
+def test_g_covariance_memo_serves_both_orders_bit_for_bit(monkeypatch):
+    calls = _engine_calls(monkeypatch)
+    _quadrature_memo.cache_clear()
+    first = g_covariance(Weibull(1.0, 2.0), Logistic(0.0, 1.0))
+    assert calls and type(first) is float
+    calls.clear()
+    # fresh but equal laws, in both orders
+    assert g_covariance(Weibull(1.0, 2.0), Logistic(0.0, 1.0)) == first
+    assert repr(g_covariance(Logistic(0.0, 1.0), Weibull(1.0, 2.0))) == repr(first)
+    assert calls == []
+    assert _quadrature_memo.cache_info().currsize == 1
+
+
+def test_g_covariance_memo_keys_on_tolerances_not_method_or_seed(monkeypatch):
+    calls = _engine_calls(monkeypatch)
+    _quadrature_memo.cache_clear()
+    f, g = Normal(0.0, 2.0), Exponential(1.0)
+    first = g_covariance(f, g)
+    calls.clear()
+    mc = IntegrationConfig(method="monte_carlo", mc_samples=5000, seed=7)
+    assert g_covariance(f, g, mc) == first and calls == []
+    loose = IntegrationConfig(abs_tol=1e-6)
+    assert g_covariance(f, g, loose) == pytest.approx(first, abs=1e-6)
+    assert calls and _quadrature_memo.cache_info().currsize == 2
+
+
+def test_g_covariance_memo_never_caches_a_failure(monkeypatch):
+    calls = _engine_calls(monkeypatch)
+    _quadrature_memo.cache_clear()
+    for _ in range(2):
+        calls.clear()
+        with pytest.raises(NumericalError, match="tail"):
+            g_covariance(Pareto(0.5), Pareto(0.5))
+        assert calls
+    assert _quadrature_memo.cache_info().currsize == 0
+
+
+def test_g_covariance_memo_holds_no_sample_data():
+    _quadrature_memo.cache_clear()
+    law = Empirical(np.random.default_rng(3).normal(size=500))
+    shifted = Affine(law, 1.0, 2.0)  # a dataclass law wrapping sample data
+    ref = weakref.ref(law)
+    g_covariance(law, Normal(0.0, 1.0))
+    g_covariance(shifted, Uniform(0.0, 1.0), IntegrationConfig(abs_tol=1e-3))
+    assert _quadrature_memo.cache_info().currsize == 0
+    del law, shifted
+    gc.collect()
+    assert ref() is None
+
+
+def _stand_in(x, abs_tol, tail_eps):  # an integral's signature, at no cost
+    return x + abs_tol
+
+
+def test_quadrature_memo_is_bounded():
+    _quadrature_memo.cache_clear()
+    bound = _quadrature_memo.cache_info().maxsize
+    assert bound == 1024
+    for k in range(bound + 50):
+        assert _once(_stand_in, (float(k),), CFG) == k + CFG.abs_tol
+        assert _quadrature_memo.cache_info().currsize == min(k + 1, bound)
+    assert _once(_stand_in, (float(bound + 49),), CFG) == bound + 49 + CFG.abs_tol
+    assert _quadrature_memo.cache_info().hits == 1
+    _quadrature_memo.cache_clear()
