@@ -119,10 +119,10 @@ class Distribution:
 
     def cell_means(self, n: int) -> np.ndarray:
         """Mean quantile over each of n equal probability cells, n * dQI(k / n)."""
-        half = n // 2
-        lower = np.diff(self.quantile_integral(np.arange(half + 1) / n))
-        upper = np.diff(self.quantile_integral_comp(np.arange(n - half + 1) / n))[::-1]
-        return np.concatenate([lower, upper]) * n
+        half = n // 2  # interior nodes only (QI(0) = 0), so the hooks take them unmasked
+        lower = np.diff(self.quantile_integral(np.arange(1.0, half + 1) / n), prepend=0.0)
+        upper = np.diff(self.quantile_integral_comp(np.arange(1.0, n - half + 1) / n), prepend=0.0)
+        return np.concatenate([lower, upper[::-1]]) * n
 
     # -- law-specific hooks (arrays in, arrays out, interior points only) --
 

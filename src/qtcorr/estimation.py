@@ -1,9 +1,10 @@
 """Rank-based plug-in estimation of the transformed correlations.
 
 The estimators replace the population marginal CDFs by ranks and the
-population covariances by sample covariances.  A sample is sorted once
-for all estimators: the last sample's sorted view (about 3n floats) is
-kept, and every rank covariance is taken in sorted order.
+population covariances by sample covariances.  A sample is sorted and
+centred once for all estimators: the last sample's sorted view (3n floats,
+centred in place) is kept, and every rank covariance is a blocked dot
+product in sorted order that allocates nothing of the sample's size.
 
 Transform-law quantiles are exact averages over each rank's probability
 cell when the law has closed-form partial quantile integrals; this keeps
@@ -110,22 +111,32 @@ def average_ranks(values: np.ndarray) -> np.ndarray:
     return _unsorted(order, _pooled(np.arange(1.0, values.size + 1.0), bounds))
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    # no n-sized temporary; dots of 128 terms summed pairwise: in sorted order the products
+    # share one sign over long stretches, where one running sum over 10**6 terms loses digits
+    m = a.size - a.size % 128
+    blocks = np.matmul(a[:m].reshape(-1, 1, 128), b[:m].reshape(-1, 128, 1))  # row-wise dots
+    return float(np.sum(blocks) + np.dot(a[m:], b[m:]))
+
+
 def _cov(a: np.ndarray, b: np.ndarray) -> float:
-    # summed pairwise: products in sorted order share one sign over long
-    # stretches, and a BLAS dot product's running sum loses two digits at 10**6
-    return float(np.sum((a - a.mean()) * (b - b.mean()))) / (a.size - 1)
+    return _dot(a - a.mean(), b - b.mean()) / (a.size - 1)
 
 
-def _sorted_cells(h: Distribution, n: int, *bounds_per_column) -> list[np.ndarray]:
+def _sorted_cells(h: Distribution, n: int, *bounds_per_column, centred=False) -> list:
     """H^{-1} rank-cell means in sorted order, one array per column's tied-run bounds.
 
     Position k gets the mean over the k-th of n equal cells; a tied run, its cells' mean.
+    ``centred`` subtracts the grid's mean in place before pooling, which keeps it at zero.
     """
     try:
         cells = h.cell_means(n)
     except UnsupportedOperationError:
         ranks = np.arange(1.0, n + 1.0)
-        return [h.quantile(_pooled(ranks, b) / (n + 1.0)) for b in bounds_per_column]
+        columns = [h.quantile(_pooled(ranks, b) / (n + 1.0)) for b in bounds_per_column]
+        return [c - c.mean() for c in columns] if centred else columns
+    if centred:
+        cells -= cells.mean()
     return [_pooled(cells, b) for b in bounds_per_column]
 
 
@@ -143,10 +154,13 @@ def _coupled_cov(h: Distribution, column: np.ndarray) -> float:
 
 @functools.lru_cache(maxsize=1)  # keyed on the sample's identity; holds the last sample
 def _ranked(sample: PairedSample):
-    """(sorted x, its tied-run bounds, sorted y, its bounds, x in the order of y)."""
+    """(sorted x, its tied-run bounds, sorted y, its bounds, x in the order of y), centred."""
     xs = np.sort(sample.x)
     oy, ys, by = _sorted_runs(sample.y)
-    return xs, _runs(xs), ys, by, sample.x[oy]
+    ranked = xs, _runs(xs), ys, by, sample.x[oy]
+    for column in ranked[::2]:  # after finding runs: centring can merge distinct values
+        column -= column.mean()
+    return ranked
 
 
 def estimate_beta_h(sample: PairedSample, h: Distribution) -> float:
@@ -158,11 +172,11 @@ def estimate_beta_h(sample: PairedSample, h: Distribution) -> float:
     """
     xs, bx, _, by, x_by_y = _ranked(sample)
     _warn_ties(bx, by)
-    tx, ty = _sorted_cells(h, sample.n, bx, by)
-    den = _cov(xs, tx)
+    tx, ty = _sorted_cells(h, sample.n, bx, by, centred=True)
+    den = _dot(xs, tx)
     if not den > 0.0:
         raise DegenerateError("degenerate plug-in denominator")
-    return _cov(x_by_y, ty) / den
+    return _dot(x_by_y, ty) / den
 
 
 def _at_average_ranks(bounds, other_sorted: np.ndarray) -> np.ndarray:
@@ -176,13 +190,14 @@ def _at_average_ranks(bounds, other_sorted: np.ndarray) -> np.ndarray:
 
 def _rho_t_hat(sample: PairedSample) -> float:
     # Q-transform plug-in: empirical quantiles paired through ranks.
-    xs, bx, ys, by, _ = _ranked(sample)
+    xs, bx, ys, by, x_by_y = _ranked(sample)
     _warn_ties(bx, by)
-    # G_hat^{-1}(F_hat(x_i)) pairs each x with the y order statistic at x's rank.
-    den = _cov(xs, _at_average_ranks(bx, ys)) * _cov(ys, _at_average_ranks(by, xs))
+    # G_hat^{-1}(F_hat(x_i)) pairs each x with the y order statistic at x's rank;
+    # against a centred column, a dot product is already n - 1 times the covariance.
+    den = _dot(xs, _at_average_ranks(bx, ys)) * _dot(ys, _at_average_ranks(by, xs))
     if not den > 0.0:
         raise DegenerateError("degenerate plug-in denominator")
-    return _cov(sample.x, sample.y) / np.sqrt(den)
+    return _dot(x_by_y, ys) / np.sqrt(den)
 
 
 def estimate_named(sample: PairedSample, which: str, nu: float | None = None) -> float:
@@ -193,10 +208,11 @@ def estimate_named(sample: PairedSample, which: str, nu: float | None = None) ->
     from .correlation import named_transform  # deferred: avoids an import cycle
 
     if which == "pearson":
-        vx, vy = _cov(sample.x, sample.x), _cov(sample.y, sample.y)
+        x, y = sample.x - sample.x.mean(), sample.y - sample.y.mean()  # no ranks needed
+        vx, vy = _dot(x, x), _dot(y, y)
         if not (vx > 0.0 and vy > 0.0):
             raise DegenerateError("zero sample variance")
-        return _cov(sample.x, sample.y) / np.sqrt(vx * vy)
+        return _dot(x, y) / np.sqrt(vx * vy)
     if which == "rho_t":
         return _rho_t_hat(sample)
     spec = named_transform(which, nu)
@@ -215,18 +231,15 @@ def load_pairs_csv(path: str) -> PairedSample:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
-            if not row or all(cell.strip() == "" for cell in row):
-                continue
-            if len(row) != 2:
-                bad.append(lineno)
-                continue
-            try:
-                xs.append(float(row[0]))
-                ys.append(float(row[1]))
+            try:  # parse first; a row that fails is blank, a header or bad
+                x, y = row
+                x, y = float(x), float(y)
             except ValueError:
-                if lineno == 1:  # header row
-                    continue
-                bad.append(lineno)
+                if "".join(row).strip() and not (lineno == 1 and len(row) == 2):
+                    bad.append(lineno)
+                continue
+            xs.append(x)
+            ys.append(y)
     if bad:
         raise DomainError(
             f"non-numeric or malformed rows at line(s): {', '.join(map(str, bad))}"

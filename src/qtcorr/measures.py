@@ -100,7 +100,7 @@ def _is_degenerate(d: Distribution) -> bool:
 
 def _empirical_pair_integral(f: Empirical, g: Empirical) -> float:
     # Exact integral of the product of two step quantile functions.
-    edges = np.union1d(np.arange(1, f.n) / f.n, np.arange(1, g.n) / g.n)
+    edges = np.union1d(np.arange(1.0, f.n) / f.n, np.arange(1.0, g.n) / g.n)
     edges = np.concatenate([[0.0], edges, [1.0]])
     mids = 0.5 * (edges[:-1] + edges[1:])
     widths = np.diff(edges)
@@ -114,7 +114,7 @@ def _cell_values(law: Distribution, n: int) -> np.ndarray:
     try:
         cells = law.cell_means(n)
     except UnsupportedOperationError:
-        cells = law.quantile((np.arange(n) + 0.5) / n)
+        cells = law.quantile(np.arange(0.5, n) / n)
     cells.flags.writeable = False
     return cells
 

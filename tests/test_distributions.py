@@ -408,3 +408,22 @@ def test_inputs_off_the_fast_path_keep_types_ends_and_messages(law):
         assert ends.dtype == np.float64 and ends[:2].tolist() == [lo, hi]
     ends = (law.quantile(0.0), law.quantile(1), law.quantile_comp(np.array(0.0)))
     assert ends == (lo, hi, hi) and all(type(x) is float for x in ends)
+
+
+def _full_node_cell_means(law, n):
+    """Former grid: integer nodes k / n from 0 to n, both ends through the masked path."""
+    half = n // 2
+    lower = np.diff(law.quantile_integral(np.arange(half + 1) / n))
+    upper = np.diff(law.quantile_integral_comp(np.arange(n - half + 1) / n))[::-1]
+    return np.concatenate([lower, upper]) * n
+
+
+@pytest.mark.parametrize("law", CATALOG + _DERIVED[:4], ids=lambda d: repr(d))
+def test_cell_means_match_the_full_node_grid_bit_for_bit(law):
+    for n in (1, 2, 3, 7, 1000, 100_001):
+        assert np.array_equal(law.cell_means(n), _full_node_cell_means(law, n))
+
+
+def test_cell_means_match_the_full_node_grid_at_a_million_and_one():
+    for law in (Logistic(0.0, 1.0), Exponential(1.0), Pareto(0.5)):
+        assert np.array_equal(law.cell_means(10**6 + 1), _full_node_cell_means(law, 10**6 + 1))

@@ -183,6 +183,44 @@ def test_load_pairs_csv_reports_bad_lines(tmp_path):
     assert "2" in message and "3" in message and "5" in message
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1.0,2.0\n   \n3.0,4.0\n5,6\n",  # whitespace-only row
+        "1.0,2.0\n,\n3.0,4.0\n \t, \n5,6\n",  # rows of empty cells
+        '"1.0","2.0"\n3.0,"4.0"\n5,6\n',  # quoted numeric fields
+        "x,y\n1.0,2.0\n3.0,4.0\n5,6\n",  # two-column header
+        "1.0,y\n1.0,2.0\n3.0,4.0\n5,6\n",  # header with a numeric first field
+    ],
+    ids=["whitespace", "empty-cells", "quoted", "header", "half-numeric-header"],
+)
+def test_load_pairs_csv_skips_blank_rows_and_a_header(tmp_path, text):
+    path = tmp_path / "pairs.csv"
+    path.write_text(text)
+    sample = load_pairs_csv(str(path))
+    assert sample.x.tolist() == [1.0, 3.0, 5.0]
+    assert sample.y.tolist() == [2.0, 4.0, 6.0]
+
+
+@pytest.mark.parametrize(
+    "text, lines",
+    [
+        ("x\n1.0,2.0\n3.0,4.0\n5,6\n", "1"),  # one column on line 1
+        ("x,y,z\n1.0,2.0\n3.0,4.0\n5,6\n", "1"),  # three columns on line 1
+        ("1,2,3\n1.0,2.0\n3.0,4.0\n5,6\n", "1"),
+        ("1.0,2.0\nx,y\n3.0,4.0\n5,6\n", "2"),  # non-numeric after line 1
+        ("\nx,y\n1.0,2.0\n3.0,4.0\n5,6\n", "2"),  # only line 1 may be a header
+        ("1.0,2.0\noops,3.0\n4.0\n5.0,6.0\n7.0,eight\n,,,\n9,1,\n", "2, 3, 5, 7"),
+    ],
+)
+def test_load_pairs_csv_lists_malformed_lines(tmp_path, text, lines):
+    path = tmp_path / "pairs.csv"
+    path.write_text(text)
+    with pytest.raises(DomainError) as err:
+        load_pairs_csv(str(path))
+    assert str(err.value) == f"non-numeric or malformed rows at line(s): {lines}"
+
+
 # -- one sort per column: oracles, counts, warnings ----------------------------
 
 
@@ -464,3 +502,96 @@ def test_sorted_order_covariance_keeps_full_precision():
         mx, mc = math.fsum(xs) / x.size, math.fsum(cells) / x.size
         want = math.fsum((xs - mx) * (cells - mc)) / (x.size - 1)
         assert _cov(xs, cells) == pytest.approx(want, rel=2e-15, abs=0.0)
+
+
+# -- centred once: the blocked dot kernel, invariances, allocation pins --------
+
+from qtcorr.distributions import ExpTransformed  # noqa: E402
+from qtcorr.estimation import _dot  # noqa: E402
+
+
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 1000, 10**6 + 37])
+def test_dot_of_sorted_same_sign_products_matches_fsum(n):
+    rng = np.random.default_rng(n)
+    a = np.sort(rng.standard_exponential(n)) + 0.5
+    b = np.sort(rng.standard_exponential(n) ** 2)
+    want = math.fsum(a * b)
+    assert _dot(a, b) == pytest.approx(want, rel=2e-15, abs=0.0)
+    assert _dot(-a, b) == pytest.approx(-want, rel=2e-15, abs=0.0)
+
+
+_INVARIANCE_LAWS = [*_ORACLE_LAWS, ExpTransformed(Normal(0, 0.5))]
+
+
+@pytest.mark.parametrize("h", _INVARIANCE_LAWS, ids=lambda h: h.name)
+def test_estimate_beta_h_reads_y_only_through_its_ranks(h):
+    for x, y in _tied_columns():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = estimate_beta_h(PairedSample(x, y), h)
+            got = estimate_beta_h(PairedSample(x, np.exp(y / 4)), h)
+        assert got == want
+
+
+def test_plug_ins_are_location_invariant():
+    for x, y in _tied_columns():
+        near, far = _sweep(PairedSample(x, y)), _sweep(PairedSample(x + 1e4, y))
+        assert far == pytest.approx(near, rel=1e-12, abs=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for h in (ExpTransformed(Normal(0, 0.5)), Normal(1e4, 1.0)):
+                want = estimate_beta_h(PairedSample(x, y), h)
+                got = estimate_beta_h(PairedSample(x + 1e4, y), h)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _alloc_pin_samples():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=100_000)
+    y = x + rng.normal(size=100_000)
+    return {"clean": PairedSample(x, y), "tied": PairedSample(np.round(x, 1), np.round(y, 1))}
+
+
+_ALLOC_PIN_SAMPLES = _alloc_pin_samples()
+
+
+@pytest.mark.parametrize(
+    "which, variant, pin",
+    [
+        ("gini", "clean", 2.5),
+        ("gini", "tied", 3.5),
+        ("or_based", "clean", 4.0),  # the logistic partial integral's own temporaries
+        ("or_based", "tied", 4.0),
+        ("rho_t", "clean", 0.5),
+        ("rho_t", "tied", 1.5),
+        ("pearson", "clean", 2.5),  # its own centred copies of x and y
+    ],
+)
+def test_repeat_estimate_allocates_at_most_its_pin(which, variant, pin):
+    # traced peak above the memory in use before a repeat call on the cached
+    # sample, in units of n floats; tracemalloc sees numpy's data buffers
+    import tracemalloc
+
+    sample = _ALLOC_PIN_SAMPLES[variant]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        estimate_named(sample, which)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            estimate_named(sample, which)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peak - before) / (8 * sample.n) <= pin
+
+
+def test_ties_are_found_before_centring():
+    # centred by the mean 3.2, the values 0 and 1e-300 would read the same
+    x = np.array([0.0, 1e-300, 2.0, 5.0, 9.0])
+    y = np.array([1e-300, 0.0, 3.0, 4.0, 8.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for which in ("gini", "rho_t", "pearson"):
+            estimate_named(PairedSample(x, y), which)

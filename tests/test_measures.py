@@ -436,3 +436,29 @@ def test_quadrature_memo_is_bounded():
     assert _once(_stand_in, (float(bound + 49),), CFG) == bound + 49 + CFG.abs_tol
     assert _quadrature_memo.cache_info().hits == 1
     _quadrature_memo.cache_clear()
+
+
+# -- float node grids: the same arrays as the integer-arange forms --------------
+
+from qtcorr.measures import _cell_values, _empirical_pair_integral  # noqa: E402
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 1000, 10**6 + 1])
+def test_float_arange_grids_equal_the_integer_forms(n):
+    assert np.array_equal(np.arange(1.0, n) / n, np.arange(1, n) / n)
+    assert np.array_equal(np.arange(0.5, n) / n, (np.arange(n) + 0.5) / n)
+
+
+def test_empirical_grids_match_the_integer_arange_forms_bit_for_bit():
+    rng = np.random.default_rng(4)
+    laws = [Empirical(rng.normal(size=m)) for m in (1, 3, 7, 250, 1000)]
+    for f in laws:
+        for g in laws:
+            edges = np.union1d(np.arange(1, f.n) / f.n, np.arange(1, g.n) / g.n)
+            edges = np.concatenate([[0.0], edges, [1.0]])
+            mids = 0.5 * (edges[:-1] + edges[1:])
+            want = float(np.sum(np.diff(edges) * f.quantile(mids) * g.quantile(mids)))
+            assert _empirical_pair_integral(f, g) == want
+        _cell_values.cache_clear()
+        assert np.array_equal(_cell_values(f, 999), f.quantile((np.arange(999) + 0.5) / 999))
+    _cell_values.cache_clear()
