@@ -35,7 +35,6 @@ from .correlation import (
     CorrelationSpec,
     beta_h,
     beta_h_reversed,
-    default_config_for,
     dependence_integral,
     fgm_beta_closed_form,
     named_transform,

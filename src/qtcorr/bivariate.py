@@ -5,7 +5,8 @@ vc) = C(u, v) - u v`` where ``uc = 1 - u`` and ``vc = 1 - v`` are supplied
 exactly.  The excess is the integrand weight of every dependence integral
 in this package and vanishes linearly at the square's edges, so the
 tail-exact form keeps deep-tail quadrature nodes meaningful where ``1 - u``
-is no longer representable in floating point.
+is no longer representable in floating point.  Every family has one, so
+every model, the Gaussian included, integrates by the same quadrature path.
 
 Sampling uses conditional inversion: U and W uniform, then V solves
 ``cond_cdf(U, V) = W`` through each family's exact ``cond_inverse``.  FGM
@@ -28,6 +29,7 @@ from scipy import special as sp
 from .distributions import Distribution, Reflected
 from .errors import DomainError, NumericalError, UnsupportedOperationError
 from .estimation import PairedSample
+from .quadrature import WGK, XGK
 
 _UNIFORM_FLOOR = 1e-300  # keeps quantile transforms finite at u == 0
 _UNIFORM_CEIL = 1.0 - 2.0**-53  # largest uniform draw; keeps v < 1 likewise
@@ -43,8 +45,6 @@ def child_rng(seed: int, tag: str) -> np.random.Generator:
 
 class Copula:
     """Bivariate dependence function on the unit square."""
-
-    has_cdf = True
 
     @property
     def family(self) -> str:
@@ -211,19 +211,36 @@ class AMH(Copula):
 
 @dataclass(frozen=True)
 class GaussianCopula(Copula):
-    """Copula of a correlated bivariate normal; sampled, never integrated."""
+    """Copula of a correlated bivariate normal."""
 
     rho: float = 0.0
-    has_cdf = False
 
     def __post_init__(self):
         if not (math.isfinite(self.rho) and -1.0 < self.rho < 1.0):
             raise DomainError(f"Gaussian copula requires rho in (-1, 1), got {self.rho}")
 
     def excess(self, u, uc, v, vc):
-        raise UnsupportedOperationError(
-            "the Gaussian copula CDF has no closed form here; use Monte Carlo"
-        )
+        # dC/drho is the bivariate normal density (Plackett 1954); with r = sin(th),
+        #   C - uv = 1/(2 pi) int_0^asin(rho) exp(-(x^2 - 2xy sin th + y^2) / (2 cos^2 th)) dth
+        # (Drezner & Wesolowsky 1990), which has no C - uv cancellation.  In
+        # phi = pi/2 - |th| the exponent is -((x - sy)^2 + 4 x sy sin^2(phi/2)) / (2 sin^2 phi),
+        # s = sign(rho), exact as |rho| -> 1 peaks it at phi -> 0; the rule is K15
+        # on ceil(-log10(1 - |rho|)) equal panels in t = log(phi).
+        x = np.where(u < 0.5, sp.ndtri(u), -sp.ndtri(uc))
+        y = np.where(v < 0.5, sp.ndtri(v), -sp.ndtri(vc))
+        finite = np.isfinite(x) & np.isfinite(y)  # u or v at 0 or 1: the excess is 0
+        x = np.where(finite, x, 0.0)[..., None]
+        y = np.where(finite, math.copysign(1.0, self.rho) * y, 0.0)[..., None]
+        r = abs(self.rho)
+        panels = max(1, math.ceil(-math.log10(1.0 - r)))
+        edges = np.linspace(math.log(math.acos(r)), math.log(0.5 * math.pi), panels + 1)
+        half = 0.5 * (edges[1] - edges[0])
+        phi = np.exp((edges[:-1, None] + half) + half * XGK).ravel()
+        weights = np.tile(WGK, panels) * phi * (math.copysign(half, self.rho) / (2.0 * math.pi))
+        e = (4.0 * x * y) * np.sin(0.5 * phi) ** 2
+        e += (x - y) ** 2
+        e *= -0.5 / np.sin(phi) ** 2
+        return np.where(finite, np.exp(e, out=e) @ weights, 0.0)
 
     def sample(self, n, rng):
         if n < 1:
@@ -263,10 +280,6 @@ class _ReflectedU(Copula):
 
     base: Copula = None  # type: ignore[assignment]
 
-    @property
-    def has_cdf(self):  # type: ignore[override]
-        return self.base.has_cdf
-
     def excess(self, u, uc, v, vc):
         return -self.base.excess(uc, u, v, vc)
 
@@ -280,10 +293,6 @@ class _ReflectedV(Copula):
     """Copula of (U, 1 - V)."""
 
     base: Copula = None  # type: ignore[assignment]
-
-    @property
-    def has_cdf(self):  # type: ignore[override]
-        return self.base.has_cdf
 
     def excess(self, u, uc, v, vc):
         return -self.base.excess(u, uc, vc, v)

@@ -19,7 +19,6 @@ from .correlation import (
     CorrelationSpec,
     beta_h,
     beta_h_reversed,
-    default_config_for,
     pearson,
     rho_t,
     symmetric_nu,
@@ -124,7 +123,7 @@ def _cmd_corr(args) -> int:
     h = parse_distribution(args.h)
     model = BivariateModel(copula, fx, gy)
     spec = CorrelationSpec(h)
-    cfg = default_config_for(model, _config(args))
+    cfg = _config(args)
     values = {
         "beta_xy": beta_h(model, spec, cfg),
         "beta_yx": beta_h_reversed(model, spec, cfg),

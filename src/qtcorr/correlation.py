@@ -20,15 +20,14 @@ variance-free Pearson variant whose magnitude dominates Pearson's.
 Every index is a ratio of dependence covariances Cov(a(U), b(V)) and
 coupled-quantile covariances Cov(X, H^{-1} F(X)).  One memoised evaluator
 per (model, config), the last one retained, computes each once: by
-quadrature, or from one seeded Monte Carlo sample, drawn and ranked once,
-for copulas without a CDF such as the Gaussian (``default_config_for``).
+quadrature (every copula family), or, when the config asks for
+``method="monte_carlo"``, from one seeded sample drawn and ranked once.
 Quadrature values also pass through the process-wide memo of
 :mod:`qtcorr.measures`, keyed on (copula, weight laws, abs_tol, tail_eps).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -44,7 +43,7 @@ from .distributions import (
     Power,
     Uniform,
 )
-from .errors import DegenerateError, DomainError, UnsupportedOperationError
+from .errors import DegenerateError, DomainError
 from .estimation import _cov, _rank_cell_means
 from .measures import DEFAULT_CONFIG, IntegrationConfig, _once, g_covariance, gmd
 from .quadrature import unit_integral_2d
@@ -100,10 +99,6 @@ def dependence_integral(
     Cov(X, Y) (the classical CDF-difference identity), and with a
     transform law on one axis it is the numerator of ``beta_h``.
     """
-    if not copula.has_cdf:
-        raise UnsupportedOperationError(
-            f"{copula.family} copula cannot be integrated; use monte_carlo"
-        )
     return _once(_dependence_quadrature, (copula, weight_u, weight_v), cfg)
 
 
@@ -114,15 +109,6 @@ def _dependence_quadrature(copula, weight_u, weight_v, abs_tol: float, tail_eps:
         return copula.excess(u, uc, v, vc) * wu * wv
 
     return unit_integral_2d(g2, abs_tol, tail_eps)
-
-
-def default_config_for(
-    model: BivariateModel, cfg: IntegrationConfig = DEFAULT_CONFIG
-) -> IntegrationConfig:
-    """cfg with the method the model supports (Monte Carlo for Gaussian)."""
-    if model.copula.has_cdf:
-        return cfg
-    return dataclasses.replace(cfg, method="monte_carlo")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ class DomainError(QtcorrError, ValueError):
 
 class UnsupportedOperationError(DomainError):
     """The requested computation is not available for this object
-    (e.g. quadrature through a copula with no closed-form CDF)."""
+    (e.g. conditional inversion for a copula that samples another way)."""
 
 
 class NumericalError(QtcorrError, ArithmeticError):

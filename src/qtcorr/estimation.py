@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -223,11 +224,13 @@ def load_pairs_csv(path: str) -> PairedSample:
     """Read a two-column numeric CSV; optional header; strict about rows.
 
     Raises DomainError listing the 1-based line numbers of every malformed
-    row (wrong arity or non-numeric fields).
+    row (wrong arity, non-numeric or non-finite fields such as ``nan`` or
+    ``inf``, which ``float`` accepts).
     """
     xs: list[float] = []
     ys: list[float] = []
     bad: list[int] = []
+    isfinite = math.isfinite  # bound once: the check runs on every row
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
@@ -238,6 +241,8 @@ def load_pairs_csv(path: str) -> PairedSample:
                 if "".join(row).strip() and not (lineno == 1 and len(row) == 2):
                     bad.append(lineno)
                 continue
+            if not (isfinite(x) and isfinite(y)):
+                bad.append(lineno)
             xs.append(x)
             ys.append(y)
     if bad:

@@ -34,6 +34,10 @@ CDF_FAMILIES = [
     AMH(0.5),
     FrechetUpper(),
     FrechetLower(),
+    GaussianCopula(-0.999),
+    GaussianCopula(-0.6),
+    GaussianCopula(0.6),
+    GaussianCopula(0.999),
 ]
 
 GRID = np.linspace(0.0, 1.0, 21)
@@ -77,7 +81,7 @@ def test_copula_cdf_examples():
 def test_zero_parameter_families_collapse_to_independence():
     indep = Independence()
     uu, vv = np.meshgrid(GRID, GRID, indexing="ij")
-    for cop in (FGM(0.0), GumbelBarnett(0.0), AMH(0.0)):
+    for cop in (FGM(0.0), GumbelBarnett(0.0), AMH(0.0), GaussianCopula(0.0)):
         assert np.allclose(cop.cdf(uu, vv), indep.cdf(uu, vv), atol=1e-15)
 
 
@@ -131,11 +135,11 @@ def test_joint_cdf_margin_recovery():
         )
 
 
-def test_gaussian_copula_has_no_cdf():
-    cop = GaussianCopula(0.5)
-    assert not cop.has_cdf
-    with pytest.raises(UnsupportedOperationError):
-        cop.cdf(0.5, 0.5)
+def test_gaussian_copula_median_orthant_oracle():
+    # C(1/2, 1/2) = P(Z1 <= 0, Z2 <= 0) = 1/4 + arcsin(rho) / (2 pi) (Sheppard)
+    for rho in (-0.999, -0.9, -0.5, 0.0, 0.3, 0.6, 0.9, 0.999):
+        want = 0.25 + math.asin(rho) / (2.0 * math.pi)
+        assert GaussianCopula(rho).cdf(0.5, 0.5) == pytest.approx(want, abs=1e-15)
 
 
 # -- sampling -----------------------------------------------------------------
@@ -276,17 +280,18 @@ def test_gaussian_sampler_margins_and_sign():
 
 
 def test_reflection_excess_identities():
-    base = BivariateModel(GumbelBarnett(0.9), Exponential(1), Weibull(1, 2))
-    rx = reflect_x(base)
     u = np.linspace(0.05, 0.95, 9)
     v = np.linspace(0.05, 0.95, 9)
-    got = rx.copula.cdf(u, v)
-    want = v - base.copula.cdf(1.0 - u, v)
-    assert np.allclose(got, want, atol=1e-14)
-    ry = reflect_y(base)
-    got = ry.copula.cdf(u, v)
-    want = u - base.copula.cdf(u, 1.0 - v)
-    assert np.allclose(got, want, atol=1e-14)
+    for copula in (GumbelBarnett(0.9), GaussianCopula(0.7)):
+        base = BivariateModel(copula, Exponential(1), Weibull(1, 2))
+        rx = reflect_x(base)
+        got = rx.copula.cdf(u, v)
+        want = v - base.copula.cdf(1.0 - u, v)
+        assert np.allclose(got, want, atol=1e-14)
+        ry = reflect_y(base)
+        got = ry.copula.cdf(u, v)
+        want = u - base.copula.cdf(u, 1.0 - v)
+        assert np.allclose(got, want, atol=1e-14)
 
 
 def test_reflection_samples_mirror_margins():

@@ -78,16 +78,20 @@ def test_corr_frechet_upper(capsys):
     assert float(lines["beta_xy"]) == pytest.approx(1.0, abs=5e-4)
 
 
-def test_corr_gaussian_defaults_to_monte_carlo(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "corr", "--copula", "gaussian:0.6",
-        "--fx", "normal:0:1", "--gy", "normal:2:3", "--h", "logistic:0:1",
-        "--samples", "200000",
-    )
-    assert code == 0
-    lines = dict(line.split() for line in out.strip().splitlines())
-    assert float(lines["beta_xy"]) == pytest.approx(0.6, abs=0.01)
+def test_corr_gaussian_defaults_to_quadrature(capsys):
+    outs = []
+    for seed in ("1", "2"):
+        code, out, _ = run_cli(
+            capsys,
+            "corr", "--copula", "gaussian:0.6",
+            "--fx", "normal:0:1", "--gy", "normal:2:3", "--h", "logistic:0:1",
+            "--seed", seed,
+        )
+        assert code == 0
+        outs.append(out)
+    lines = dict(line.split() for line in outs[0].strip().splitlines())
+    assert lines["beta_xy"] == "0.6"
+    assert outs[0] == outs[1]
 
 
 def test_corr_all_monte_carlo_draws_once(capsys, monkeypatch):
@@ -104,7 +108,7 @@ def test_corr_all_monte_carlo_draws_once(capsys, monkeypatch):
         capsys,
         "corr", "--copula", "gaussian:0.6",
         "--fx", "normal:0:1", "--gy", "normal:0:1", "--h", "exp:1",
-        "--all", "--samples", "20000",
+        "--all", "--method", "mc", "--samples", "20000",
     )
     assert code == 0
     assert len(out.strip().splitlines()) == 7
@@ -232,6 +236,11 @@ def test_estimate_named_and_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, "estimate", "--input", str(bad), "--named", "pearson")
     assert code == 1
     assert "2" in err
+    # float() accepts nan: the row is still reported by its line
+    bad.write_text("1.0,2.0\n3.0,4.0\n5.0,6.0\nnan,3\n7.0,8.0\n")
+    code, out, err = run_cli(capsys, "estimate", "--input", str(bad), "--named", "gini")
+    assert (code, out) == (1, "")
+    assert "non-numeric or malformed rows at line(s): 4" in err
 
 
 def test_decompose_csv(capsys):

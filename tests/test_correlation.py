@@ -1,5 +1,6 @@
 """Transformed correlation: worked values, theorem properties, oracles."""
 
+import dataclasses
 import math
 
 import pytest
@@ -8,6 +9,7 @@ from scipy.integrate import dblquad
 from qtcorr.bivariate import (
     AMH,
     BivariateModel,
+    Copula,
     FGM,
     FrechetLower,
     FrechetUpper,
@@ -22,7 +24,6 @@ from qtcorr.correlation import (
     _evaluator,
     beta_h,
     beta_h_reversed,
-    default_config_for,
     dependence_integral,
     fgm_beta_closed_form,
     named_transform,
@@ -47,7 +48,7 @@ from qtcorr.distributions import (
     Uniform,
     Weibull,
 )
-from qtcorr.errors import DegenerateError, DomainError, UnsupportedOperationError
+from qtcorr.errors import DegenerateError, DomainError, NumericalError
 from qtcorr.measures import IntegrationConfig, g_covariance
 
 TOL = 2e-4  # quadrature assertion tolerance: max(10 abs_tol, 2e-4)
@@ -326,7 +327,7 @@ def test_rho_t_scale_is_integrated_under_a_monte_carlo_config(seed):
     # the margins alone fix it, so a sample must not enter
     for f, g in ((Normal(0, 1), Normal(0, 1)), (Normal(0, 1), Logistic(0, 1))):
         model = BivariateModel(GaussianCopula(0.6), f, g)
-        cfg = default_config_for(model, IntegrationConfig(mc_samples=2_000, seed=seed))
+        cfg = IntegrationConfig(method="monte_carlo", mc_samples=2_000, seed=seed)
         exact = math.sqrt(g_covariance(f, f) * g_covariance(g, g)) / g_covariance(f, g)
         assert rho_t_scale(model, cfg) == exact == rho_t_scale(model, IntegrationConfig())
         assert rho_t_scale(model, cfg) >= 1.0
@@ -507,14 +508,33 @@ def test_quadrature_transform_equal_to_a_margin_shares_its_integrals(monkeypatch
     assert sorted(calls) == ["dependence_integral", "g_covariance", "g_covariance"]
 
 
-def test_gaussian_quadrature_is_rejected():
-    model = BivariateModel(GaussianCopula(0.5), Normal(0, 1), Normal(0, 1))
-    with pytest.raises(UnsupportedOperationError):
-        beta_h(model, named_transform("gini"))
-    cfg = default_config_for(model)
-    assert cfg.method == "monte_carlo"
-    quad_model = BivariateModel(FGM(0.5), Uniform(0, 1), Uniform(0, 1))
-    assert default_config_for(quad_model).method == "quadrature"
+# -- Gaussian oracles: every family takes the same quadrature path -------------
+
+GAUSSIAN_RHOS = (-0.999, -0.5, 0.3, 0.6, 0.999)
+ORACLE_TOL = 1e-9
+
+
+def test_gaussian_beta_h_equals_rho_for_every_named_h():
+    # E[X | Y] is linear in Y under normal margins, so every beta_H is rho
+    for rho in GAUSSIAN_RHOS:
+        model = BivariateModel(GaussianCopula(rho), Normal(0, 1), Normal(2, 3))
+        for spec in NAMED:
+            assert beta_h(model, spec) == pytest.approx(rho, abs=ORACLE_TOL)
+        assert pearson(model) == pytest.approx(rho, abs=ORACLE_TOL)
+        assert rho_t(model) == pytest.approx(rho, abs=ORACLE_TOL)
+
+
+def test_gaussian_spearman_identity():
+    # Spearman's rho_S = 12 Cov(U, V) = (6 / pi) arcsin(rho / 2)
+    for rho in GAUSSIAN_RHOS:
+        cov = dependence_integral(GaussianCopula(rho), Uniform(0, 1), Uniform(0, 1))
+        assert 12.0 * cov == pytest.approx(6.0 / math.pi * math.asin(rho / 2.0), abs=ORACLE_TOL)
+
+
+def test_gaussian_normal_covariance_is_rho():
+    for rho in GAUSSIAN_RHOS:
+        cov = dependence_integral(GaussianCopula(rho), Normal(0, 1), Normal(0, 1))
+        assert cov == pytest.approx(rho, abs=ORACLE_TOL)
 
 
 def test_degenerate_denominator():
@@ -556,11 +576,17 @@ def test_dependence_integral_memo_is_bit_identical_and_ignores_method_and_seed(m
     assert "integrate_2d" in calls and _quadrature_memo.cache_info().currsize == 2
 
 
+@dataclasses.dataclass(frozen=True)
+class _RefusingCopula(Copula):
+    def excess(self, u, uc, v, vc):
+        raise NumericalError("refused")
+
+
 def test_dependence_integral_memo_never_caches_a_refusal():
     _quadrature_memo.cache_clear()
     for _ in range(2):
-        with pytest.raises(UnsupportedOperationError):
-            dependence_integral(GaussianCopula(0.5), Normal(0, 1), Uniform(0, 1))
+        with pytest.raises(NumericalError):
+            dependence_integral(_RefusingCopula(), Normal(0, 1), Uniform(0, 1))
     assert _quadrature_memo.cache_info().currsize == 0
 
 

@@ -211,6 +211,9 @@ def test_load_pairs_csv_skips_blank_rows_and_a_header(tmp_path, text):
         ("1.0,2.0\nx,y\n3.0,4.0\n5,6\n", "2"),  # non-numeric after line 1
         ("\nx,y\n1.0,2.0\n3.0,4.0\n5,6\n", "2"),  # only line 1 may be a header
         ("1.0,2.0\noops,3.0\n4.0\n5.0,6.0\n7.0,eight\n,,,\n9,1,\n", "2, 3, 5, 7"),
+        ("1.0,2.0\nnan,3\n4,inf\n-Infinity,2\n5,6\n", "2, 3, 4"),  # float() accepts these
+        ("nan,3\n1.0,2.0\n", "1"),  # a non-finite line 1 is data, not a header
+        ("1.0,2.0\noops,3.0\n4,INF\n", "2, 3"),
     ],
 )
 def test_load_pairs_csv_lists_malformed_lines(tmp_path, text, lines):
