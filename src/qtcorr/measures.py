@@ -35,6 +35,7 @@ from .distributions import (
     Logistic,
     Pareto,
     Power,
+    Reflected,
     Uniform,
     Weibull,
 )
@@ -123,33 +124,6 @@ def _empirical_mixed_integral(emp: Empirical, other: Distribution) -> float:
     # Exact per cell of the empirical grid: the step side is constant there and
     # the other law enters by its cell mean.
     return float(np.mean(emp.values * _cell_values(other, emp.n)))
-
-
-def cov_with_unit_transform(
-    f: Distribution,
-    psi,
-    psi_mean: float,
-    psi_cells,
-    cfg: IntegrationConfig = DEFAULT_CONFIG,
-) -> float:
-    """Cov(X, psi(F(X))) for a monotone-integrable transform psi on (0, 1).
-
-    ``psi(p, upper)`` follows the tail-aware convention of
-    :func:`qtcorr.quadrature.unit_integral`; ``psi_mean`` is its exact
-    unit-interval integral, and ``psi_cells(n)`` its exact means over n
-    equal cells, which an empirical law of n points uses instead.
-    """
-    if _is_degenerate(f):
-        return 0.0
-    if isinstance(f, Empirical):
-        return float(np.mean(f.values * psi_cells(f.n)) - f.mean() * psi_mean)
-
-    def integrand(p, upper):
-        q = f.quantile_comp(p) if upper else f.quantile(p)
-        return q * psi(p, upper)
-
-    raw = unit_integral(integrand, cfg.abs_tol, cfg.tail_eps)
-    return raw - f.mean() * psi_mean
 
 
 def g_covariance(
@@ -258,24 +232,6 @@ def equilibrium_entropy(
     return cre(f, cfg) / mu + math.log(mu)
 
 
-def _pow_neglog_comp(m: int):
-    # psi(u) = (-log(1 - u))**m, tail-aware: the Weibull(1, 1/m) quantile
-    def psi(p, upper):
-        lam = -np.log(p) if upper else -np.log1p(-p)
-        return lam**m
-
-    return psi
-
-
-def _pow_neglog(m: int):
-    # psi(u) = (-log(u))**m, tail-aware: the Weibull(1, 1/m) quantile at 1 - u
-    def psi(p, upper):
-        lam = -np.log1p(-p) if upper else -np.log(p)
-        return lam**m
-
-    return psi
-
-
 def record_mean_gap(
     f: Distribution,
     n: int,
@@ -286,8 +242,11 @@ def record_mean_gap(
 
     kind = "upper" gives E(R_n - R_1) for upper records, "lower" the same
     for lower records, and "spread" the expected distance E(R_n - R'_n)
-    between the n-th upper and lower records.  All three are covariances
-    of X against powers of (+/-) log-rank transforms, scaled by (n-1)!.
+    between the n-th upper and lower records.  With m = n - 1 and the weight
+    law W = Weibull(1, 1/m), whose quantile is (-log(1 - u))^m, the upper gap
+    is Cov(X, W^{-1}F(X)) / m! and the lower gap is -Cov(X, R^{-1}F(X)) / m!
+    for R = Reflected(W), whose quantile is -(-log u)^m.  Spread is upper
+    minus lower: the sum of two integrals, each held to ``abs_tol``.
     """
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"record_mean_gap requires an integer n >= 1, got {n}")
@@ -296,23 +255,11 @@ def record_mean_gap(
     if n == 1:
         return 0.0
     m = n - 1
-    up = _pow_neglog_comp(m)
-    down = _pow_neglog(m)
-    up_cells = Weibull(1.0, 1.0 / m).cell_means  # down's cell means are these reversed
-
-    def down_cells(k):
-        return up_cells(k)[::-1]
-
-    fact = float(math.factorial(m))
+    weight = Weibull(1.0, 1.0 / m)
+    fact = math.factorial(m)
     if kind == "upper":
-        return cov_with_unit_transform(f, up, fact, up_cells, cfg) / fact
+        return g_covariance(f, weight, cfg) / fact
+    lower = 0.0 - g_covariance(f, Reflected(weight), cfg) / fact  # a zero gap stays +0.0
     if kind == "lower":
-        return cov_with_unit_transform(f, down, fact, down_cells, cfg) / fact
-
-    def spread_psi(p, upper):
-        return up(p, upper) - down(p, upper)
-
-    def spread_cells(k):
-        return up_cells(k) - down_cells(k)
-
-    return cov_with_unit_transform(f, spread_psi, 0.0, spread_cells, cfg) / fact
+        return lower
+    return g_covariance(f, weight, cfg) / fact - lower

@@ -9,19 +9,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qtcorr.distributions import (
     Empirical,
     Exponential,
     Affine,
+    Gumbel,
+    Laplace,
     Logistic,
     Normal,
     Pareto,
+    Power,
     Uniform,
     Weibull,
 )
-from qtcorr.errors import DomainError, NumericalError
+from qtcorr.errors import DomainError, NumericalError, QtcorrError
 from qtcorr.measures import (
     DEFAULT_CONFIG,
     IntegrationConfig,
@@ -300,6 +305,16 @@ def test_record_gap_examples():
     )
     assert want == pytest.approx(1.0 - math.pi**2 / 6.0, abs=1e-6)
     assert record_mean_gap(Exponential(1), 2, "lower") == pytest.approx(want, abs=1e-6)
+    # closed forms: R_n of U(0, 1) has mean 1 - 2^-n (and the lower record
+    # 2^-n); R_n of Weibull(1, k) is Gamma(n, 1)^(1/k)
+    for n in (2, 3, 4, 6):
+        unit = Uniform(0, 1)
+        assert record_mean_gap(unit, n, "upper") == pytest.approx(0.5 - 2.0**-n, abs=1e-9)
+        assert record_mean_gap(unit, n, "lower") == pytest.approx(2.0**-n - 0.5, abs=1e-9)
+        assert record_mean_gap(unit, n, "spread") == pytest.approx(1.0 - 2.0 ** (1 - n), abs=1e-9)
+        for k in (0.5, 1.0, 2.0, 3.0):
+            want = math.gamma(n + 1 / k) / math.gamma(n) - math.gamma(1 + 1 / k)
+            assert record_mean_gap(Weibull(1, k), n, "upper") == pytest.approx(want, abs=1e-9)
 
 
 def test_record_gap_structure():
@@ -314,6 +329,63 @@ def test_record_gap_structure():
             assert spread == pytest.approx(upper - lower, abs=TOL)
     with pytest.raises(DomainError):
         record_mean_gap(Exponential(1), 2, "sideways")
+
+
+_GAP_LAWS = [
+    Uniform(-2.0, 5.0),
+    Exponential(2.5),
+    Logistic(1.5, 0.7),
+    Normal(2.0, 3.0),
+    Weibull(1.0, 0.5),
+    Weibull(2.0, 1.3),
+    Laplace(-1.0, 2.0),
+    Gumbel(1.0, 0.5),
+    Pareto(0.5),
+    Pareto(0.8),
+    Power(1.5),
+    Power(3.0),
+]
+
+
+def _gap_or_none(law, n, kind):
+    # a finite gap, or None where the law is refused with a typed error
+    try:
+        gap = record_mean_gap(law, n, kind)
+    except QtcorrError:
+        return None
+    assert math.isfinite(gap)
+    return gap
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    base=st.sampled_from(_GAP_LAWS),
+    shift=st.floats(-10.0, 10.0),
+    scale=st.floats(0.1, 10.0),
+    n=st.integers(2, 6),
+)
+def test_record_gap_structure_fuzz(base, shift, scale, n):
+    moved = Affine(base, shift, scale)
+    tol = TOL * max(1.0, abs(shift), scale)
+    kinds = ("upper", "lower", "spread")
+    gap = {
+        (law, kind, j): _gap_or_none(law, j, kind)
+        for law in (base, moved)
+        for kind in kinds
+        for j in (n - 1, n)
+    }
+    for law in (base, moved):
+        # upper gaps are nonnegative and grow with n; lower gaps mirror them
+        for sign, kind in ((1.0, "upper"), (-1.0, "lower")):
+            prev, now = gap[law, kind, n - 1], gap[law, kind, n]
+            if None not in (prev, now):
+                assert sign * now >= -tol and sign * now >= sign * prev - tol
+        upper, lower, spread = (gap[law, kind, n] for kind in kinds)
+        if None not in (upper, lower, spread):
+            assert spread == pytest.approx(upper - lower, rel=1e-12, abs=0.0)
+    for kind in kinds:
+        if None not in (gap[base, kind, n], gap[moved, kind, n]):
+            assert gap[moved, kind, n] == pytest.approx(scale * gap[base, kind, n], abs=tol)
 
 
 def test_record_gap_empirical_uses_exact_cell_means():
@@ -407,6 +479,27 @@ def test_g_covariance_memo_never_caches_a_failure(monkeypatch):
             g_covariance(Pareto(0.5), Pareto(0.5))
         assert calls
     assert _quadrature_memo.cache_info().currsize == 0
+
+
+def test_record_gaps_share_the_memo_with_gcre(monkeypatch):
+    calls = _engine_calls(monkeypatch)
+    _quadrature_memo.cache_clear()
+    law = Weibull(1.0, 2.0)
+    record_mean_gap(law, 3, "upper")
+    calls.clear()
+    record_mean_gap(law, 3, "upper")
+    assert calls == []
+    # gcre of order 2 integrates against Weibull(1, 1) and Weibull(1, 1/2),
+    # the weight laws of the upper gaps of orders 2 and 3
+    record_mean_gap(law, 2, "upper")
+    calls.clear()
+    gcre(law, 2)
+    assert calls == []
+    record_mean_gap(law, 4, "upper")
+    record_mean_gap(law, 4, "lower")
+    calls.clear()
+    record_mean_gap(law, 4, "spread")
+    assert calls == []
 
 
 def test_g_covariance_memo_holds_no_sample_data():
