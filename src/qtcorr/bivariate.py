@@ -6,7 +6,12 @@ exactly.  The excess is the integrand weight of every dependence integral
 in this package and vanishes linearly at the square's edges, so the
 tail-exact form keeps deep-tail quadrature nodes meaningful where ``1 - u``
 is no longer representable in floating point.  Every family has one, so
-every model, the Gaussian included, integrates by the same quadrature path.
+every model, the Gaussian included, can integrate by the same quadrature path.
+
+``dependence_integral`` is the copula's integral of that excess against two
+quantile densities.  It runs the 2-D quadrature, except where a family's
+excess factorises: FGM's is gamma u(1-u) v(1-v), so its integral is a product
+of two 1-D coupled-quantile covariances.
 
 Sampling uses conditional inversion: U and W uniform, then V solves
 ``cond_cdf(U, V) = W`` through each family's exact ``cond_inverse``.  FGM
@@ -26,14 +31,22 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sp
 
-from .distributions import Distribution, Reflected
+from .distributions import Distribution, Reflected, Uniform
 from .errors import DomainError, NumericalError, UnsupportedOperationError
 from .estimation import PairedSample
-from .quadrature import WGK, XGK
+from .measures import IntegrationConfig, g_covariance
+from .quadrature import WGK, XGK, unit_integral_2d
 
 _UNIFORM_FLOOR = 1e-300  # keeps quantile transforms finite at u == 0
 _UNIFORM_CEIL = 1.0 - 2.0**-53  # largest uniform draw; keeps v < 1 likewise
 _NEWTON_MAX_ITERS = 50  # Gumbel-Barnett took at most 5 steps over 10**6 draws
+
+
+def _tail_aware(w: Distribution, p, upper: bool):
+    # (point, its complement, quantile density) at a tail-aware coordinate
+    if upper:
+        return 1.0 - p, p, w.quantile_density_comp(p)
+    return p, 1.0 - p, w.quantile_density(p)
 
 
 def child_rng(seed: int, tag: str) -> np.random.Generator:
@@ -53,6 +66,16 @@ class Copula:
     def excess(self, u, uc, v, vc):
         """C(u, v) - u v with exact complements uc = 1-u, vc = 1-v."""
         raise NotImplementedError
+
+    def dependence_integral(self, weight_u, weight_v, abs_tol: float, tail_eps: float) -> float:
+        """integral of excess(u, v) qd_wu(u) qd_wv(v) over the unit square, in 2-D."""
+
+        def g2(pu, upper_u, pv, upper_v):
+            u, uc, wu = _tail_aware(weight_u, pu, upper_u)
+            v, vc, wv = _tail_aware(weight_v, pv, upper_v)
+            return self.excess(u, uc, v, vc) * wu * wv
+
+        return unit_integral_2d(g2, abs_tol, tail_eps)
 
     def cdf(self, u, v):
         u = np.asarray(u, dtype=float)
@@ -106,6 +129,13 @@ class FGM(Copula):
 
     def excess(self, u, uc, v, vc):
         return self.gamma * u * uc * v * vc
+
+    def dependence_integral(self, weight_u, weight_v, abs_tol, tail_eps):
+        # integral u(1-u) qd_A(u) du = GMD(A) / 2 = 2 Cov(A, U): two memoised 1-D integrals
+        cfg = IntegrationConfig(abs_tol=abs_tol, tail_eps=tail_eps)
+        unit = Uniform(0.0, 1.0)
+        cov_u, cov_v = g_covariance(weight_u, unit, cfg), g_covariance(weight_v, unit, cfg)
+        return 4.0 * self.gamma * cov_u * cov_v
 
     def cond_cdf(self, u, v):
         return v * (1.0 + self.gamma * (1.0 - 2.0 * u) * (1.0 - v))

@@ -11,7 +11,11 @@ The production numerator is the dependence integral over the unit square,
     integral integral (C(u, v) - u v) qd_F(u) qd_H(v) du dv,
 
 with qd the quantile densities (the x-y plane form of the same integral
-is kept to the test suite as an oracle).  Named choices of H recover the
+is kept to the test suite as an oracle).  Each copula family integrates it
+by its own ``dependence_integral`` method: the 2-D quadrature, or, for FGM,
+whose excess gamma u(1-u) v(1-v) factorises, the product
+4 gamma Cov(F^{-1}(U), U) Cov(H^{-1}(U), U) of two memoised 1-D integrals,
+which is the paper's FGM closed form.  Named choices of H recover the
 classical indices: uniform H gives the Gini correlation, logistic H the
 log-odds based one, exponential H the cumulative-residual-entropy based
 one, and Pareto/power H the extended Gini family.  H = G gives a
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bivariate import BivariateModel, Copula, child_rng
+from .bivariate import FGM, BivariateModel, Copula, child_rng
 from .distributions import (
     Distribution,
     Exponential,
@@ -45,8 +49,7 @@ from .distributions import (
 )
 from .errors import DegenerateError, DomainError
 from .estimation import _cov, _rank_cell_means
-from .measures import DEFAULT_CONFIG, IntegrationConfig, _once, g_covariance, gmd
-from .quadrature import unit_integral_2d
+from .measures import DEFAULT_CONFIG, IntegrationConfig, _once, g_covariance
 
 
 @dataclass(frozen=True)
@@ -79,13 +82,6 @@ def named_transform(label: str, nu: float | None = None) -> CorrelationSpec:
     raise DomainError(f"unknown index label {label!r}; expected one of {_NAMED_LABELS}")
 
 
-def _tail_aware(w: Distribution, p, upper: bool):
-    # (point, its complement, quantile density) at a tail-aware coordinate
-    if upper:
-        return 1.0 - p, p, w.quantile_density_comp(p)
-    return p, 1.0 - p, w.quantile_density(p)
-
-
 def dependence_integral(
     copula: Copula,
     weight_u: Distribution,
@@ -97,18 +93,13 @@ def dependence_integral(
     This is the covariance of the wu-image of U with the wv-image of V
     under the copula; with the model margins as weights it is exactly
     Cov(X, Y) (the classical CDF-difference identity), and with a
-    transform law on one axis it is the numerator of ``beta_h``.
+    transform law on one axis it is the numerator of ``beta_h``.  The
+    copula's ``dependence_integral`` method computes it: a 2-D quadrature,
+    or for FGM the product 4 gamma g(wu, U(0,1)) g(wv, U(0,1)) of two
+    coupled-quantile covariances.
     """
-    return _once(_dependence_quadrature, (copula, weight_u, weight_v), cfg)
-
-
-def _dependence_quadrature(copula, weight_u, weight_v, abs_tol: float, tail_eps: float) -> float:
-    def g2(pu, upper_u, pv, upper_v):
-        u, uc, wu = _tail_aware(weight_u, pu, upper_u)
-        v, vc, wv = _tail_aware(weight_v, pv, upper_v)
-        return copula.excess(u, uc, v, vc) * wu * wv
-
-    return unit_integral_2d(g2, abs_tol, tail_eps)
+    # the family's method, unbound, so the memo keys on the copula by value
+    return _once(type(copula).dependence_integral, (copula, weight_u, weight_v), cfg)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -259,12 +250,12 @@ def fgm_beta_closed_form(
 ) -> float:
     """beta_h for the FGM family: gamma GMD(F) GMD(H) / (4 Cov(X, H^{-1}F(X))).
 
-    Linear in gamma and independent of the second margin.
+    Linear in gamma and independent of the second margin: the numerator is
+    FGM's dependence integral, which is that GMD product.  Integrated, never
+    sampled, whatever ``cfg.method`` says.
     """
-    if not (math.isfinite(gamma) and -1.0 <= gamma <= 1.0):
-        raise DomainError(f"FGM dependence parameter must lie in [-1, 1], got {gamma}")
-    den = _denominator([g_covariance(f, spec.h, cfg)], cfg.abs_tol)
-    return gamma * gmd(f, cfg) * gmd(spec.h, cfg) / (4.0 * den)
+    model = BivariateModel(FGM(gamma), f, f)
+    return _Evaluator(model, cfg).ratio((f, spec), (_X, spec))
 
 
 def symmetric_tau(model, spec, cfg: IntegrationConfig = DEFAULT_CONFIG) -> float:

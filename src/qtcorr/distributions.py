@@ -252,9 +252,16 @@ class Logistic(Distribution):
 
     @staticmethod
     def _xlogx_pair(p):
+        # p log p + (1 - p) log1p(-p) in two buffers; it is negative inside (0, 1),
+        # so fmin takes the NaN of 0 log 0 at p in {0, 1} to its limit 0
+        out, tmp = np.empty_like(p), np.empty_like(p)
         with np.errstate(invalid="ignore", divide="ignore"):
-            raw = p * np.log(p) + (1.0 - p) * np.log1p(-p)
-        return np.where((p <= 0.0) | (p >= 1.0), 0.0, raw)
+            np.log1p(np.negative(p, out=out), out=out)
+            out *= np.subtract(1.0, p, out=tmp)
+            np.log(p, out=tmp)
+            tmp *= p
+            out += tmp
+        return np.fmin(out, 0.0, out=out)
 
     def _quantile_integral(self, p):
         return self.loc * p + self.scale * self._xlogx_pair(p)

@@ -563,8 +563,8 @@ _ALLOC_PIN_SAMPLES = _alloc_pin_samples()
     [
         ("gini", "clean", 2.5),
         ("gini", "tied", 3.5),
-        ("or_based", "clean", 4.0),  # the logistic partial integral's own temporaries
-        ("or_based", "tied", 4.0),
+        ("or_based", "clean", 3.0),  # the logistic partial integral's two buffers
+        ("or_based", "tied", 3.5),
         ("rho_t", "clean", 0.5),
         ("rho_t", "tied", 1.5),
         ("pearson", "clean", 2.5),  # its own centred copies of x and y
