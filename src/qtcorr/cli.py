@@ -145,6 +145,8 @@ def _cmd_corr(args) -> int:
 def _cmd_estimate(args) -> int:
     if (args.h is None) == (args.named is None):
         raise DomainError("provide exactly one of --h or --named")
+    if args.nu is not None and args.named != "egini":
+        raise DomainError("--nu is the extended Gini weight; it applies only to --named egini")
     sample = load_pairs_csv(args.input)
     if args.h is not None:
         value = estimate_beta_h(sample, parse_distribution(args.h))
@@ -249,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--input", required=True)
     p_est.add_argument("--h", default=None, help="transform law spec")
     p_est.add_argument("--named", choices=_NAMED_ESTIMATORS, default=None)
-    p_est.add_argument("--nu", type=float, default=None, help="extended Gini weight")
+    p_est.add_argument("--nu", type=float, default=None, help="weight of --named egini")
     _add_output(p_est)
     p_est.set_defaults(fn=_cmd_estimate)
 

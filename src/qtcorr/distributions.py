@@ -2,10 +2,14 @@
 
 Every law exposes the same small surface: ``cdf``, ``quantile`` (the
 left-continuous generalized inverse), ``quantile_density`` (derivative of
-the quantile function), ``mean`` and the rank-preserving map
-:func:`q_transform`.  Quantile-side evaluation is tail-aware: the
-``*_comp`` variants take the distance to 1 directly, so integrators can
-work at depths where ``1 - p`` is no longer representable.
+the quantile function), ``quantile_integral`` (the partial mass
+QI(p) = integral of the quantile over [0, p]), ``mean`` and ``cell_means``,
+and the rank-preserving map :func:`q_transform`.  Quantile-side evaluation
+is tail-aware: the ``*_comp`` variants take the distance to 1 directly, so
+integrators can work at depths where ``1 - p`` is no longer representable.
+
+QI is the one source of first moments: ``mean`` is QI(1) and ``cell_means``
+its increments; a law without an exact QI raises ``UnsupportedOperationError``.
 
 All instances are immutable; operations are pure and vectorized over
 numpy arrays (scalars in, scalars out).  The quantile-side methods pass a
@@ -20,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sp
 
-from .errors import DomainError, UnsupportedOperationError
-from .quadrature import unit_integral
+from .errors import DomainError, NumericalError, UnsupportedOperationError
 
 _EULER_GAMMA = 0.5772156649015329
 
@@ -100,12 +103,7 @@ class Distribution:
         return _ret(out, scalar)
 
     def mean(self) -> float:
-        # Fallback for laws without a closed form: integrate the quantile.
-        return unit_integral(
-            lambda p, upper: (self.quantile_comp(p) if upper else self.quantile(p)),
-            1e-10,
-            1e-9,
-        )
+        return float(self.quantile_integral(1.0))
 
     def quantile_integral(self, p):
         """Partial quantile mass: integral of quantile(v) dv over [0, p]."""
@@ -143,13 +141,10 @@ class Distribution:
 
     def _quantile_integral(self, p):
         raise UnsupportedOperationError(
-            f"{self.name} does not provide a closed-form quantile integral"
+            f"{self.name} has no exact quantile integral, so no exact mean or cell means"
         )
 
-    def _quantile_integral_comp(self, q):
-        raise UnsupportedOperationError(
-            f"{self.name} does not provide a closed-form quantile integral"
-        )
+    _quantile_integral_comp = _quantile_integral
 
 
 @dataclass(frozen=True)
@@ -182,9 +177,6 @@ class Uniform(Distribution):
 
     def _quantile_integral_comp(self, q):
         return self.b * q - 0.5 * (self.b - self.a) * q * q
-
-    def mean(self) -> float:
-        return 0.5 * (self.a + self.b)
 
 
 @dataclass(frozen=True)
@@ -220,9 +212,6 @@ class Exponential(Distribution):
         with np.errstate(invalid="ignore", divide="ignore"):
             raw = q * (1.0 - np.log(q)) / self.rate
         return np.where(q <= 0.0, 0.0, raw)
-
-    def mean(self) -> float:
-        return 1.0 / self.rate
 
 
 @dataclass(frozen=True)
@@ -269,9 +258,6 @@ class Logistic(Distribution):
     def _quantile_integral_comp(self, q):
         return self.loc * q - self.scale * self._xlogx_pair(q)
 
-    def mean(self) -> float:
-        return self.loc
-
 
 @dataclass(frozen=True)
 class Normal(Distribution):
@@ -314,9 +300,6 @@ class Normal(Distribution):
 
     def _quantile_integral_comp(self, q):
         return self.mu * q + self.sigma * self._std_pdf_at_quantile(q)
-
-    def mean(self) -> float:
-        return self.mu
 
 
 @dataclass(frozen=True)
@@ -411,9 +394,6 @@ class Laplace(Distribution):
         high = np.where(q >= 1.0, 0.0, high)
         return self.loc * q + self.scale * np.where(q <= 0.5, low, high)
 
-    def mean(self) -> float:
-        return self.loc
-
 
 @dataclass(frozen=True)
 class Gumbel(Distribution):
@@ -457,9 +437,6 @@ class Gumbel(Distribution):
         raw = np.where(q >= 1.0, _EULER_GAMMA, raw)
         return self.loc * q + self.scale * raw
 
-    def mean(self) -> float:
-        return self.loc + self.scale * _EULER_GAMMA
-
 
 @dataclass(frozen=True)
 class Pareto(Distribution):
@@ -499,9 +476,6 @@ class Pareto(Distribution):
     def _quantile_integral_comp(self, q):
         return q**self.nu / self.nu
 
-    def mean(self) -> float:
-        return 1.0 / self.nu
-
 
 @dataclass(frozen=True)
 class Power(Distribution):
@@ -535,9 +509,6 @@ class Power(Distribution):
 
     def _quantile_integral_comp(self, q):
         return q - q**self.nu / self.nu
-
-    def mean(self) -> float:
-        return 1.0 - 1.0 / self.nu
 
 
 class Empirical(Distribution):
@@ -581,6 +552,23 @@ class Empirical(Distribution):
         raise DomainError("Empirical has a step CDF; quantile_density is undefined")
 
     quantile_density_comp = quantile_density
+
+    @staticmethod
+    def _step_integral(values: np.ndarray, p):
+        # Integral over [0, p] of the steps values[k] on (k / n, (k + 1) / n]: j whole cells by
+        # a cumulative sum (not kept: laws reach 10**6 values), then a fraction of cell j.
+        n = values.size
+        sums = np.zeros(n + 1)
+        np.cumsum(values, out=sums[1:])
+        cells = p * n
+        j = np.minimum(cells.astype(int), n - 1)
+        return (sums[j] + (cells - j) * values[j]) / n
+
+    def _quantile_integral(self, p):
+        return self._step_integral(self._values, p)
+
+    def _quantile_integral_comp(self, q):
+        return self._step_integral(self._values[::-1], q)
 
     def mean(self) -> float:
         return float(np.mean(self._values))
@@ -631,9 +619,6 @@ class Affine(Distribution):
     def _quantile_integral_comp(self, q):
         return self.shift * q + self.scale * self.base.quantile_integral_comp(q)
 
-    def mean(self) -> float:
-        return self.shift + self.scale * self.base.mean()
-
 
 @dataclass(frozen=True)
 class Reflected(Distribution):
@@ -670,9 +655,6 @@ class Reflected(Distribution):
     def _quantile_integral_comp(self, q):
         return -self.base.quantile_integral(q)
 
-    def mean(self) -> float:
-        return -self.base.mean()
-
 
 @dataclass(frozen=True)
 class ExpTransformed(Distribution):
@@ -708,6 +690,24 @@ class ExpTransformed(Distribution):
 
     def _quantile_density_comp(self, q):
         return np.exp(self.base.quantile_comp(q)) * self.base.quantile_density_comp(q)
+
+    def _lognormal(self) -> tuple[float, float]:
+        """(E exp(X), sigma) for a Normal(mu, sigma) base, the one base with an exact QI."""
+        if not isinstance(self.base, Normal):
+            raise UnsupportedOperationError(f"exp({self.base.name}) has no exact quantile integral")
+        log_mean = self.base.mu + 0.5 * self.base.sigma**2
+        if log_mean > 709.0:
+            raise NumericalError(f"the mean of exp({self.base}) overflows")
+        return math.exp(log_mean), self.base.sigma
+
+    # exp(mu + sigma Z) below Z = z has mass E exp(X) Phi(z - sigma); Phi(+-inf) closes the ends
+    def _quantile_integral(self, p):
+        mean, sigma = self._lognormal()
+        return mean * sp.ndtr(sp.ndtri(p) - sigma)
+
+    def _quantile_integral_comp(self, q):
+        mean, sigma = self._lognormal()
+        return mean * sp.ndtr(sp.ndtri(q) + sigma)
 
 
 def q_transform(f: Distribution, g: Distribution, x):

@@ -7,16 +7,16 @@ centred in place) is kept, and every rank covariance is a blocked dot
 product in sorted order that allocates nothing of the sample's size.
 
 Transform-law quantiles are exact averages over each rank's probability
-cell when the law has closed-form partial quantile integrals; this keeps
-the values finite for unbounded laws and, unlike the bare rank / (n + 1)
-plug-in, stays unbiased enough for heavy-tailed transforms whose
-pointwise quantiles have infinite variance.  Laws without partial
-integrals fall back to H^{-1}(rank / (n + 1)).  The Monte Carlo indices
-and the standby decomposition use the same rank-cell means.
+cell, from the law's partial quantile integrals; this keeps the values
+finite for unbounded laws and, unlike the bare rank / (n + 1) plug-in,
+stays unbiased enough for heavy-tailed transforms whose pointwise
+quantiles have infinite variance.  A law without exact partial integrals
+raises ``UnsupportedOperationError``.  The Monte Carlo indices and the
+standby decomposition use the same rank-cell means.
 
 Ties have zero probability under continuous laws but occur in real data:
-a tied run shares one value (the mean of its cells, or the value at its
-average rank), and each plug-in call warns once per tied column at the caller.
+a tied run shares one value (the mean of its cells), and each plug-in
+call warns once per tied column at the caller.
 
 No bias correction or interval machinery is attempted here: this is the
 straight plug-in, one defensible choice among several (jackknifed or
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Distribution
-from .errors import DegenerateError, DomainError, UnsupportedOperationError
+from .errors import DegenerateError, DomainError
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,12 +130,7 @@ def _sorted_cells(h: Distribution, n: int, *bounds_per_column, centred=False) ->
     Position k gets the mean over the k-th of n equal cells; a tied run, its cells' mean.
     ``centred`` subtracts the grid's mean in place before pooling, which keeps it at zero.
     """
-    try:
-        cells = h.cell_means(n)
-    except UnsupportedOperationError:
-        ranks = np.arange(1.0, n + 1.0)
-        columns = [h.quantile(_pooled(ranks, b) / (n + 1.0)) for b in bounds_per_column]
-        return [c - c.mean() for c in columns] if centred else columns
+    cells = h.cell_means(n)
     if centred:
         cells -= cells.mean()
     return [_pooled(cells, b) for b in bounds_per_column]

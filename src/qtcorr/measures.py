@@ -39,7 +39,7 @@ from .distributions import (
     Uniform,
     Weibull,
 )
-from .errors import DomainError, UnsupportedOperationError
+from .errors import DomainError
 from .quadrature import unit_integral
 
 
@@ -110,12 +110,9 @@ def _empirical_pair_integral(f: Empirical, g: Empirical) -> float:
 
 @functools.lru_cache(maxsize=4)
 def _cell_values(law: Distribution, n: int) -> np.ndarray:
-    # The law's mean over each of n equal cells (midpoint rule without one),
+    # The law's exact mean over each of n equal cells (a law without them raises),
     # read-only; kept because equal-size empirical laws ask for the same cells.
-    try:
-        cells = law.cell_means(n)
-    except UnsupportedOperationError:
-        cells = law.quantile(np.arange(0.5, n) / n)
+    cells = law.cell_means(n)
     cells.flags.writeable = False
     return cells
 

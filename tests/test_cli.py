@@ -243,6 +243,23 @@ def test_estimate_named_and_errors(capsys, tmp_path):
     assert "non-numeric or malformed rows at line(s): 4" in err
 
 
+def test_estimate_nu_is_only_the_egini_weight(capsys, tmp_path):
+    path = tmp_path / "pairs.csv"
+    x, noise = np.random.default_rng(2).normal(size=(2, 200))
+    path.write_text("".join(f"{a},{a + b}\n" for a, b in zip(x, noise)))
+    for flags in (["--named", "gini"], ["--named", "pearson"], ["--h", "exp:1"]):
+        code, out, err = run_cli(capsys, "estimate", "--input", str(path), *flags, "--nu", "3")
+        assert (code, out) == (1, "")
+        assert err.startswith("qtcorr: error: --nu ")
+    code, out, _ = run_cli(
+        capsys, "estimate", "--input", str(path), "--named", "egini", "--nu", "3"
+    )
+    assert code == 0
+    assert 0.0 < float(dict(line.split() for line in out.splitlines())["estimate"]) < 1.0
+    code, _, err = run_cli(capsys, "estimate", "--input", str(path), "--named", "egini")
+    assert code == 1 and "nu" in err
+
+
 def test_decompose_csv(capsys):
     code, out, _ = run_cli(
         capsys,

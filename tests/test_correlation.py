@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
@@ -48,7 +49,14 @@ from qtcorr.distributions import (
     Uniform,
     Weibull,
 )
-from qtcorr.errors import DegenerateError, DomainError, NumericalError
+from qtcorr.errors import (
+    DegenerateError,
+    DomainError,
+    NumericalError,
+    QtcorrError,
+    UnsupportedOperationError,
+)
+from qtcorr.estimation import PairedSample, estimate_beta_h
 from qtcorr.measures import IntegrationConfig, g_covariance
 
 TOL = 2e-4  # quadrature assertion tolerance: max(10 abs_tol, 2e-4)
@@ -636,3 +644,25 @@ def test_fgm_rhot_table_integrates_no_2d_point(monkeypatch):
     dependence_integral(GumbelBarnett(0.5), Uniform(0, 1), Exponential(1))
     assert len(calls) == 1
     assert dependence_integral(FGM(0.0), Weibull(1, 2), Logistic(0, 1)) == 0.0
+
+
+def test_a_transform_without_exact_cell_means_is_refused_never_approximated():
+    # exp of a Weibull has no exact partial quantile integral: every use of its mean or
+    # rank-cell means raises instead of falling back to a midpoint or pointwise quantile
+    h = ExpTransformed(Weibull(1.0, 2.0))
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=500)
+    sample = PairedSample(x, x + rng.normal(size=500))
+    model = BivariateModel(FGM(0.5), Exponential(1.0), Exponential(1.0))
+    mc = IntegrationConfig(method="monte_carlo", mc_samples=2000, seed=1)
+    refusals = (
+        lambda: estimate_beta_h(sample, h),
+        lambda: beta_h(model, CorrelationSpec(h), mc),
+        lambda: g_covariance(Empirical(x), h),
+        ExpTransformed(Logistic(0.0, 0.5)).mean,
+    )
+    for refusal in refusals:
+        with pytest.raises(UnsupportedOperationError) as err:
+            refusal()
+        assert isinstance(err.value, QtcorrError)
+    assert h.quantile(0.5) == pytest.approx(math.exp(math.sqrt(math.log(2.0))))

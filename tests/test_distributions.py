@@ -1,15 +1,20 @@
 """Distribution catalog: round trips, densities, symmetry, grammar."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtri
 
+from qtcorr import distributions
 from qtcorr.distributions import (
     Affine,
+    Distribution,
     Empirical,
     ExpTransformed,
     Exponential,
@@ -25,7 +30,7 @@ from qtcorr.distributions import (
     parse_distribution,
     q_transform,
 )
-from qtcorr.errors import DomainError, UnsupportedOperationError
+from qtcorr.errors import DomainError, NumericalError, QtcorrError, UnsupportedOperationError
 
 CATALOG = [
     Uniform(0.0, 1.0),
@@ -267,13 +272,13 @@ def test_affine_and_reflected():
 
 def test_exp_transformed_is_lognormal_for_normal_base():
     law = ExpTransformed(Normal(0.0, 1.0))
-    # exercises the quadrature fallback for the mean
-    assert law.mean() == pytest.approx(math.exp(0.5), rel=1e-7)
+    # the lognormal mean e^{1/2} comes from the exact partial integral at 1
+    assert law.mean() == math.exp(0.5)
     assert law.quantile(0.5) == pytest.approx(1.0)
     assert law.cdf(1.0) == pytest.approx(0.5)
     assert law.support[0] == 0.0
     with pytest.raises(UnsupportedOperationError):
-        law.quantile_integral(0.5)
+        ExpTransformed(Logistic(0.0, 1.0)).quantile_integral(0.5)
 
 
 # -- grammar ------------------------------------------------------------------
@@ -427,3 +432,139 @@ def test_cell_means_match_the_full_node_grid_bit_for_bit(law):
 def test_cell_means_match_the_full_node_grid_at_a_million_and_one():
     for law in (Logistic(0.0, 1.0), Exponential(1.0), Pareto(0.5)):
         assert np.array_equal(law.cell_means(10**6 + 1), _full_node_cell_means(law, 10**6 + 1))
+
+
+# -- first moments: every mean and cell mean comes from the partial integral QI --
+
+# The closed forms the laws carried next to QI before mean() became QI(1); kept as references.
+_FORMER_MEANS = {
+    Uniform: lambda d: 0.5 * (d.a + d.b),
+    Exponential: lambda d: 1.0 / d.rate,
+    Logistic: lambda d: d.loc,
+    Normal: lambda d: d.mu,
+    Laplace: lambda d: d.loc,
+    Gumbel: lambda d: d.loc + d.scale * 0.5772156649015329,
+    Pareto: lambda d: 1.0 / d.nu,
+    Power: lambda d: 1.0 - 1.0 / d.nu,
+    Affine: lambda d: d.shift + d.scale * d.base.mean(),
+    Reflected: lambda d: -d.base.mean(),
+}
+_FORMER_MEAN_LAWS = [
+    *(Uniform(a, b) for a, b in ((0, 1), (-2.0, 5.0), (0.1, 0.7), (1e3, 1e3 + 1e-6))),
+    *(Exponential(r) for r in (1, 2.5, 3.0, 0.1)),
+    *(Logistic(m, s) for m, s in ((0, 1), (1.5, 0.7), (-3.0, 2.0))),
+    *(Normal(m, s) for m, s in ((0, 1), (2.0, 3.0), (-1e3, 0.1))),
+    *(Laplace(m, s) for m, s in ((0, 1), (-1, 2), (4.25, 0.3))),
+    *(Gumbel(m, s) for m, s in ((0, 1), (1.0, 0.5), (-2.0, 3.0))),
+    *(Pareto(nu) for nu in (0.5, 0.8, 0.3, 0.999)),
+    *(Power(nu) for nu in (1.5, 3.0, 4.0 / 3.0, 10.0)),
+    Affine(Normal(0.0, 1.0), 2.0, 3.0),
+    Affine(Pareto(0.8), -1.0, 0.5),
+    Affine(Gumbel(0.0, 1.0), 0.3, 7.0),
+    Reflected(Gumbel(0.0, 1.0)),
+    Reflected(Weibull(1.0, 0.5)),
+    Reflected(Exponential(3.0)),
+]
+
+
+@pytest.mark.parametrize("law", _FORMER_MEAN_LAWS, ids=repr)
+def test_mean_from_qi_equals_the_former_closed_form(law):
+    got, want = law.mean(), float(_FORMER_MEANS[type(law)](law))
+    if isinstance(law, Uniform):  # a + (b - a) / 2 is correctly rounded; (a + b) / 2 may not be
+        assert abs(got - want) <= math.ulp(want)
+    else:
+        assert got.hex() == want.hex()
+
+
+@pytest.mark.parametrize(
+    "law",
+    CATALOG
+    + [Logistic(0, 1), Laplace(-1, 2), Normal(2, 3), Gumbel(0, 1), Uniform(0, 1), Exponential(2)]
+    + [d for d in _DERIVED if not isinstance(d, ExpTransformed) or isinstance(d.base, Normal)]
+    + [Affine(Logistic(0, 1), 1, 2), Reflected(Laplace(-1, 2)), ExpTransformed(Normal(0, 1))]
+    + [Empirical([1, 2, 4]), Empirical([3])],
+    ids=repr,
+)
+def test_mean_is_a_float(law):
+    assert type(law.mean()) is float
+
+
+def _step_mass(values, lo, hi):
+    """Integral of the empirical quantile over [lo, hi]: order statistics times cell overlaps."""
+    v, n = np.sort(np.asarray(values, dtype=float)), len(values)
+    return math.fsum(v[k] * max(0.0, min(hi, (k + 1) / n) - max(lo, k / n)) for k in range(n))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [2.5],
+        [-1.0, 2.0, 2.0, 2.0, 5.0, 5.0, 7.5],
+        np.round(np.random.default_rng(8).normal(size=40), 1),
+    ],
+    ids=["n1", "ties", "rounded"],
+)
+def test_empirical_quantile_integral_is_the_step_sum(values):
+    law, n = Empirical(values), len(values)
+    scale = max(1.0, float(np.max(np.abs(values))))
+    for p in [0.0, 1.0 / (3 * n), *(np.arange(1, n + 1) / n), 0.5, 1.0]:
+        lower, upper = _step_mass(values, 0.0, p), _step_mass(values, 1.0 - p, 1.0)
+        assert law.quantile_integral(p) == pytest.approx(lower, rel=1e-13, abs=1e-15 * scale)
+        assert law.quantile_integral_comp(p) == pytest.approx(upper, rel=1e-13, abs=1e-15 * scale)
+    want = [7 * _step_mass(values, k / 7, (k + 1) / 7) for k in range(7)]
+    np.testing.assert_allclose(law.cell_means(7), want, rtol=1e-12, atol=1e-13 * scale)
+
+
+@pytest.mark.parametrize("mu,sigma", [(0.0, 1.0), (0.3, 0.5), (-1.0, 2.0)])
+def test_lognormal_quantile_integral_against_quadrature(mu, sigma):
+    law = ExpTransformed(Normal(mu, sigma))
+    assert law.mean() == math.exp(mu + sigma**2 / 2)
+
+    def x_density(z):  # e^{mu + sigma z} times the standard normal density: the x-domain form
+        return math.exp(mu + sigma * z - 0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+    for p in (1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6):
+        z = float(ndtri(p))
+        lower = quad(x_density, -math.inf, z, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        upper = quad(x_density, -z, math.inf, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        assert law.quantile_integral(p) == pytest.approx(lower, rel=1e-12)
+        assert law.quantile_integral_comp(p) == pytest.approx(upper, rel=1e-12)
+
+
+def test_a_lognormal_mean_beyond_float_range_is_a_numerical_error():
+    law = ExpTransformed(Normal(0.0, 40.0))  # log of the mean is 800
+    for first_moment in (law.mean, lambda: law.cell_means(4)):
+        with pytest.raises(NumericalError, match="overflows"):
+            first_moment()
+    assert law.quantile(0.5) == 1.0
+
+
+class _QuantileOnly(Distribution):
+    """A user law that supplies quantiles but no partial integral."""
+
+    def _quantile(self, p):
+        return p * p
+
+
+@pytest.mark.parametrize(
+    "law", [ExpTransformed(Logistic(0.0, 0.5)), ExpTransformed(Weibull(1.0, 2.0)), _QuantileOnly()]
+)
+def test_a_law_without_exact_qi_refuses_means_but_keeps_its_quantiles(law):
+    for first_moment in (law.mean, lambda: law.cell_means(10), lambda: law.quantile_integral(0.5)):
+        with pytest.raises(UnsupportedOperationError) as err:
+            first_moment()
+        assert isinstance(err.value, QtcorrError)
+    assert np.all(np.diff(law.quantile(np.linspace(0.01, 0.99, 9))) > 0.0)
+
+
+def test_distributions_import_nothing_of_the_package_but_errors():
+    # a law never calls the integrator: its means come from its own partial integrals
+    tree = ast.parse(Path(distributions.__file__).read_text())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+    package = [name for name in names if name.startswith(".") or name.split(".")[0] == "qtcorr"]
+    assert package == [".errors"]

@@ -290,7 +290,7 @@ _ORACLE_LAWS = [
     Logistic(0, 1),
     Pareto(0.5),
     Power(3.0),
-    Empirical(np.random.default_rng(3).gamma(2.0, size=300)),  # no partial integrals
+    Empirical(np.random.default_rng(3).gamma(2.0, size=300)),
 ]
 
 
