@@ -29,9 +29,9 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
+from numpy.random import Generator, SeedSequence, default_rng
 
-from .distributions import Distribution, Reflected, Uniform
+from .distributions import Distribution, Reflected, Uniform, ndtr, ndtri
 from .errors import DomainError, NumericalError, UnsupportedOperationError
 from .estimation import PairedSample
 from .measures import IntegrationConfig, g_covariance
@@ -49,11 +49,11 @@ def _tail_aware(w: Distribution, p, upper: bool):
     return p, 1.0 - p, w.quantile_density(p)
 
 
-def child_rng(seed: int, tag: str) -> np.random.Generator:
+def child_rng(seed: int, tag: str) -> Generator:
     """Deterministic child stream derived from (seed, operation tag)."""
     key = zlib.crc32(tag.encode("utf-8"))
     entropy = int(seed) & ((1 << 64) - 1)
-    return np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(key,)))
+    return default_rng(SeedSequence(entropy, spawn_key=(key,)))
 
 
 class Copula:
@@ -96,7 +96,7 @@ class Copula:
             f"{self.family} copula does not expose a conditional inverse"
         )
 
-    def sample(self, n: int, rng: np.random.Generator):
+    def sample(self, n: int, rng: Generator):
         """n dependent uniform pairs via conditional inversion."""
         if n < 1:
             raise DomainError("sample size must be at least 1")
@@ -256,8 +256,10 @@ class GaussianCopula(Copula):
         # phi = pi/2 - |th| the exponent is -((x - sy)^2 + 4 x sy sin^2(phi/2)) / (2 sin^2 phi),
         # s = sign(rho), exact as |rho| -> 1 peaks it at phi -> 0; the rule is K15
         # on ceil(-log10(1 - |rho|)) equal panels in t = log(phi).
-        x = np.where(u < 0.5, sp.ndtri(u), -sp.ndtri(uc))
-        y = np.where(v < 0.5, sp.ndtri(v), -sp.ndtri(vc))
+        x = ndtri(np.minimum(u, uc))
+        x = np.where(u < 0.5, x, -x)
+        y = ndtri(np.minimum(v, vc))
+        y = np.where(v < 0.5, y, -y)
         finite = np.isfinite(x) & np.isfinite(y)  # u or v at 0 or 1: the excess is 0
         x = np.where(finite, x, 0.0)[..., None]
         y = np.where(finite, math.copysign(1.0, self.rho) * y, 0.0)[..., None]
@@ -277,7 +279,7 @@ class GaussianCopula(Copula):
             raise DomainError("sample size must be at least 1")
         z1 = rng.standard_normal(n)
         z2 = self.rho * z1 + math.sqrt(1.0 - self.rho**2) * rng.standard_normal(n)
-        return sp.ndtr(z1), sp.ndtr(z2)
+        return ndtr(z1), ndtr(z2)
 
 
 @dataclass(frozen=True)

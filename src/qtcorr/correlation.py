@@ -64,8 +64,10 @@ _NAMED_LABELS = ("cre_based", "or_based", "gini", "egini")
 
 
 def named_transform(label: str, nu: float | None = None) -> CorrelationSpec:
-    """CorrelationSpec for a named index; ``egini`` needs its weight nu."""
+    """CorrelationSpec for a named index; ``egini`` needs its weight nu, the others refuse one."""
     key = label.strip().lower()
+    if nu is not None and key != "egini":
+        raise DomainError(f"the weight nu applies only to egini, not to {label!r}")
     if key == "cre_based":
         return CorrelationSpec(Exponential(1.0), "cre_based")
     if key == "or_based":

@@ -11,6 +11,10 @@ integrators can work at depths where ``1 - p`` is no longer representable.
 QI is the one source of first moments: ``mean`` is QI(1) and ``cell_means``
 its increments; a law without an exact QI raises ``UnsupportedOperationError``.
 
+The special functions the laws need (Phi and its inverse, the logistic
+sigmoid, the regularised incomplete gamma function and E1) are numpy kernels
+at the end of this module.
+
 All instances are immutable; operations are pure and vectorized over
 numpy arrays (scalars in, scalars out).  The quantile-side methods pass a
 nonempty float64 array strictly inside (0, 1) straight to the law's hook.
@@ -22,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import DomainError, NumericalError, UnsupportedOperationError
 
@@ -225,7 +228,7 @@ class Logistic(Distribution):
         object.__setattr__(self, "symmetry_center", self.loc)
 
     def _cdf(self, x):
-        return sp.expit((x - self.loc) / self.scale)
+        return _expit((x - self.loc) / self.scale)
 
     def _quantile(self, p):
         return self.loc + self.scale * (np.log(p) - np.log1p(-p))
@@ -270,28 +273,28 @@ class Normal(Distribution):
         object.__setattr__(self, "symmetry_center", self.mu)
 
     def _cdf(self, x):
-        return sp.ndtr((x - self.mu) / self.sigma)
+        return ndtr((x - self.mu) / self.sigma)
 
     def _quantile(self, p):
-        return self.mu + self.sigma * sp.ndtri(p)
+        return self.mu + self.sigma * ndtri(p)
 
     def _quantile_comp(self, q):
-        return self.mu - self.sigma * sp.ndtri(q)
+        return self.mu - self.sigma * ndtri(q)
 
     @staticmethod
     def _std_qd(z):
         return np.sqrt(2.0 * np.pi) * np.exp(0.5 * z * z)
 
     def _quantile_density(self, p):
-        return self.sigma * self._std_qd(sp.ndtri(p))
+        return self.sigma * self._std_qd(ndtri(p))
 
     def _quantile_density_comp(self, q):
-        return self.sigma * self._std_qd(sp.ndtri(q))
+        return self.sigma * self._std_qd(ndtri(q))
 
     @staticmethod
     def _std_pdf_at_quantile(p):
         with np.errstate(invalid="ignore", over="ignore"):
-            z = sp.ndtri(p)
+            z = ndtri(p)
             raw = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
         return np.where((p <= 0.0) | (p >= 1.0), 0.0, raw)
 
@@ -337,13 +340,13 @@ class Weibull(Distribution):
         a = 1.0 + 1.0 / self.shape
         with np.errstate(divide="ignore"):
             x = -np.log1p(-p)
-        return self.mean() * sp.gammainc(a, x)
+        return self.mean() * _gamma_inc(a, x, upper=False)
 
     def _quantile_integral_comp(self, q):
         a = 1.0 + 1.0 / self.shape
         with np.errstate(divide="ignore"):
             x = -np.log(q)
-        return self.mean() * sp.gammaincc(a, x)
+        return self.mean() * _gamma_inc(a, x, upper=True)
 
     def mean(self) -> float:
         return self.scale * math.gamma(1.0 + 1.0 / self.shape)
@@ -424,7 +427,7 @@ class Gumbel(Distribution):
     def _quantile_integral(self, p):
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             x = -np.log(p)
-            raw = -p * np.log(x) - sp.exp1(x)
+            raw = -p * np.log(x) - _exp1(x)
         raw = np.where(p <= 0.0, 0.0, raw)
         raw = np.where(p >= 1.0, _EULER_GAMMA, raw)
         return self.loc * p + self.scale * raw
@@ -432,7 +435,7 @@ class Gumbel(Distribution):
     def _quantile_integral_comp(self, q):
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             x = -np.log1p(-q)
-            raw = _EULER_GAMMA + (1.0 - q) * np.log(x) + sp.exp1(x)
+            raw = _EULER_GAMMA + (1.0 - q) * np.log(x) + _exp1(x)
         raw = np.where(q <= 0.0, 0.0, raw)
         raw = np.where(q >= 1.0, _EULER_GAMMA, raw)
         return self.loc * q + self.scale * raw
@@ -703,11 +706,11 @@ class ExpTransformed(Distribution):
     # exp(mu + sigma Z) below Z = z has mass E exp(X) Phi(z - sigma); Phi(+-inf) closes the ends
     def _quantile_integral(self, p):
         mean, sigma = self._lognormal()
-        return mean * sp.ndtr(sp.ndtri(p) - sigma)
+        return mean * ndtr(ndtri(p) - sigma)
 
     def _quantile_integral_comp(self, q):
         mean, sigma = self._lognormal()
-        return mean * sp.ndtr(sp.ndtri(q) + sigma)
+        return mean * ndtr(ndtri(q) + sigma)
 
 
 def q_transform(f: Distribution, g: Distribution, x):
@@ -754,3 +757,255 @@ def parse_distribution(text: str) -> Distribution:
         except ValueError as exc:
             raise DomainError(f"non-numeric parameter {tok!r} in {text!r}") from exc
     return factory(*args)
+
+
+# ---------------------------------------------------------------------------
+# Special functions of the catalogue laws, in numpy alone: Phi and its inverse
+# (normal), the logistic sigmoid, the regularised incomplete gamma function
+# (Weibull) and the exponential integral E1 (Gumbel).  Each maps float64
+# arrays elementwise, NaN to NaN, without floating-point warnings.
+# ---------------------------------------------------------------------------
+
+_BLOCK = 16384  # elements per kernel pass: larger temporaries leave the cache
+
+
+def _blockwise(kernel, x, *args):
+    """kernel(block, *args) over 1-D blocks of x, reassembled in x's shape."""
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    with np.errstate(all="ignore"):
+        if flat.size <= _BLOCK:
+            return kernel(flat, *args).reshape(x.shape)
+        out = np.empty(flat.size)
+        for start in range(0, flat.size, _BLOCK):
+            out[start : start + _BLOCK] = kernel(flat[start : start + _BLOCK], *args)
+    return out.reshape(x.shape)
+
+
+def _horner(coeffs, x):
+    """The polynomial with coefficients ``coeffs`` (highest power first) at x."""
+    out = coeffs[0] * x
+    out += coeffs[1]
+    for c in coeffs[2:]:
+        out *= x
+        out += c
+    return out
+
+
+# Wichura, AS241 PPND16 (1988): Phi^-1(p) = q A(r) / B(r) with q = p - 1/2, r = 0.180625 - q^2
+# for |q| <= 0.425; beyond, s = sqrt(-log min(p, 1 - p)) gives |Phi^-1| = C(s - 1.6) / D(s - 1.6)
+# for s <= 5 and E(s - 5) / F(s - 5) past it.  Highest power first.
+_AS241_A = (
+    2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
+    4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
+    1.3314166789178437745e2, 3.3871328727963666080e0,
+)
+_AS241_B = (
+    5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
+    2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
+    4.2313330701600911252e1, 1.0,
+)
+_AS241_C = (
+    7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+    1.27045825245236838258e0, 3.64784832476320460504e0, 5.76949722146069140550e0,
+    4.63033784615654529590e0, 1.42343711074968357734e0,
+)
+_AS241_D = (
+    1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+    1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e0,
+    2.05319162663775882187e0, 1.0,
+)
+_AS241_E = (
+    2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+    2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e0,
+    5.46378491116411436990e0, 6.65790464350110377720e0,
+)
+_AS241_F = (
+    2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+    7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+    5.99832206555887937690e-1, 1.0,
+)
+
+
+def _ndtri_block(p):
+    q = p - 0.5
+    r = q * q
+    np.subtract(0.180625, r, out=r)
+    x = _horner(_AS241_A, r)
+    x *= q
+    x /= _horner(_AS241_B, r)
+    tail = np.flatnonzero(r < 0.0)  # |q| > 0.425; NaN stays central and comes out NaN
+    if tail.size:
+        pt = p[tail]
+        s = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))  # inf at p in {0, 1}, NaN outside [0, 1]
+        z = _horner(_AS241_C, s - 1.6) / _horner(_AS241_D, s - 1.6)
+        deep = np.flatnonzero(s > 5.0)
+        if deep.size:
+            sd = s[deep] - 5.0
+            z[deep] = np.where(sd == np.inf, np.inf, _horner(_AS241_E, sd) / _horner(_AS241_F, sd))
+        x[tail] = np.copysign(z, q[tail])
+    return x
+
+
+def ndtri(p):
+    """Phi^-1(p), the standard normal quantile: -inf at 0, inf at 1, NaN outside [0, 1]."""
+    return _blockwise(_ndtri_block, p)
+
+
+# Phi(x) = 1/2 + erf(y) / 2 with y = x / sqrt 2 < 1, where erf(y) = y T(y^2) / U(y^2)
+# (Cody 1969, as in Cephes ndtr.c), rescaled here to a rational in x^2.  Beyond,
+# Phi(-t) = erfc(y) / 2 = e^(-t^2 / 2) R(y) / 2 with R a rational fit to e^(y^2) erfc(y):
+# mpmath's P/Q (math2._erfc_mid) on [1, 8) and Cephes' R/S past 8.  Highest power first.
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (
+    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+_PHI_T = tuple(c * 0.5 ** (4 - k) * (0.5 * math.sqrt(0.5)) for k, c in enumerate(_ERF_T))
+_PHI_U = tuple(c * 0.5 ** (5 - k) for k, c in enumerate(_ERF_U))
+_ERFC_P = (
+    0.00044560259661560421715, 0.0063065951710717791934, 0.045459713768411264339,
+    0.20924776504163751585, 0.66275911699770787537, 1.4695509105618423961,
+    2.2280433377390253297, 2.1275306946297962644, 1.0000000161203922312,
+)
+_ERFC_Q = (
+    0.00078981003831980423513, 0.011178148899483545902, 0.080970149639040548613,
+    0.37647108453729465912, 1.2146026030046904138, 2.7845640601891186528,
+    4.4971472894498014205, 4.9019435608903239131, 3.2559100272784894318, 1.0,
+)
+_ERFC_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = (
+    1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+
+
+def _ndtr_block(x):
+    w = x * x
+    out = _horner(_PHI_T, w)
+    out *= x
+    out /= _horner(_PHI_U, w)
+    out += 0.5
+    tail = np.flatnonzero(w >= 2.0)  # |x| >= sqrt 2; NaN stays central and comes out NaN
+    if tail.size:
+        xt = x[tail]
+        t = np.minimum(np.abs(xt), 40.0)  # Phi(-40) underflows to 0
+        y = t * math.sqrt(0.5)
+        ratio = _horner(_ERFC_P, y) / _horner(_ERFC_Q, y)
+        far = np.flatnonzero(y >= 8.0)
+        if far.size:
+            ratio[far] = _horner(_ERFC_R, y[far]) / _horner(_ERFC_S, y[far])
+        # t = hi + lo with hi^2 exact, so e^(-t^2 / 2) takes no rounding error of t^2
+        hi = np.trunc(t * 16.0) / 16.0
+        half = 0.5 * ratio * np.exp(-0.5 * (t - hi) * (t + hi)) * np.exp(-0.5 * hi * hi)
+        out[tail] = np.where(xt < 0.0, half, 1.0 - half)
+    return out
+
+
+def ndtr(x):
+    """Phi(x), the standard normal CDF."""
+    return _blockwise(_ndtr_block, x)
+
+
+def _expit(z):
+    """The logistic sigmoid 1 / (1 + e^-z)."""
+    e = np.exp(-np.abs(z))  # in [0, 1], so neither branch overflows
+    return np.where(z >= 0.0, 1.0, e) / (1.0 + e)
+
+
+_CF_TOL = 4e-16  # a step within two ulps of 1 leaves the fraction unchanged in float64
+_CF_MAX_TERMS = 2000
+
+
+def _legendre_cf(x, a):
+    """h(x) with Gamma(a, x) = x^a e^-x h(x), by Legendre's continued fraction.
+
+    Modified Lentz, for x >= a + 1 > 1 or a = 0 < 1 < x, where the fraction
+    converges fast; every element leaves as soon as its step converges.
+    """
+    out = np.empty_like(x)
+    live = np.arange(x.size)
+    b = x + (1.0 - a)
+    d = 1.0 / b
+    h = d.copy()
+    c = np.full_like(x, np.inf)
+    for i in range(1, _CF_MAX_TERMS):
+        if not live.size:
+            return out
+        an = -i * (i - a)
+        b += 2.0
+        d *= an
+        d += b
+        np.reciprocal(d, out=d)
+        np.divide(an, c, out=c)
+        c += b
+        step = c * d
+        h *= step
+        step -= 1.0
+        done = np.abs(step, out=step) <= _CF_TOL
+        if done.any():
+            out[live[done]] = h[done]
+            keep = ~done
+            live, b, c, d, h = live[keep], b[keep], c[keep], d[keep], h[keep]
+    raise NumericalError(f"incomplete gamma fraction unconverged after {_CF_MAX_TERMS} terms")
+
+
+def _gamma_inc_block(x, a, upper):
+    # The side that converges is computed and the other is 1 minus it: the power series
+    # for P below x = a + 1 and the fraction for Q from there on.  Neither exceeds
+    # P(1, 2) = 1 - e^-2 on its side for a >= 1, so 1 minus it keeps its digits.
+    lead = np.exp(a * np.log(x) - x - math.lgamma(a))  # x^a e^-x / Gamma(a)
+    out = np.where(np.isnan(x), np.nan, 0.0 if upper else 1.0)  # lead underflows: Q = 0
+    low = np.flatnonzero(x < a + 1.0)
+    if low.size:
+        # P = lead sum_n x^n / (a (a+1) ... (a+n)), in t = x / (a+1) < 1: the coefficients
+        # (a+1)^n / (a ... (a+n)) stay in (2^-56 / a, 1 / a] for any a, and the depth is
+        # the seam's, so each value is independent of the others in the array
+        coeffs, term = [1.0 / a], 1.0
+        while term > 2.0**-56:
+            term *= (a + 1.0) / (a + len(coeffs))
+            coeffs.append(term / a)
+        p = lead[low] * _horner(coeffs[::-1], x[low] * (1.0 / (a + 1.0)))
+        out[low] = 1.0 - p if upper else p
+    high = np.flatnonzero((x >= a + 1.0) & (lead > 0.0))
+    if high.size:
+        q = lead[high] * _legendre_cf(x[high], a)
+        out[high] = q if upper else 1.0 - q
+    return out
+
+
+def _gamma_inc(a: float, x, upper: bool):
+    """The regularised incomplete gamma function, Q(a, x) if upper else P(a, x), a >= 1, x >= 0.
+
+    The relative error is about 1e-15 a, from the rounding of the exponent of x^a e^-x / Gamma(a).
+    """
+    return _blockwise(_gamma_inc_block, x, a, upper)
+
+
+# E1(x) = -gamma - log x + sum_n (-1)^(n+1) x^n / (n n!) for x <= 1; the terms past
+# n = 18 are below 5e-19.  Highest power first, without the constant term.
+_E1_SERIES = tuple((-1.0) ** (n + 1) / (n * math.factorial(n)) for n in range(18, 0, -1)) + (0.0,)
+
+
+def _exp1_block(x):
+    lead = np.exp(-x)
+    out = np.where(np.isnan(x), np.nan, 0.0)  # e^-x underflows, x = inf included: E1 = 0
+    low = np.flatnonzero(x <= 1.0)
+    if low.size:
+        xs = x[low]
+        out[low] = _horner(_E1_SERIES, xs) - _EULER_GAMMA - np.log(xs)
+    high = np.flatnonzero((x > 1.0) & (lead > 0.0))
+    if high.size:
+        out[high] = lead[high] * _legendre_cf(x[high], 0.0)
+    return out
+
+
+def _exp1(x):
+    """The exponential integral E1(x) for x >= 0: inf at 0, 0 at inf."""
+    return _blockwise(_exp1_block, x)

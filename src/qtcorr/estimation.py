@@ -199,10 +199,13 @@ def _rho_t_hat(sample: PairedSample) -> float:
 def estimate_named(sample: PairedSample, which: str, nu: float | None = None) -> float:
     """Sample analogue of a named correlation index.
 
-    which: pearson | gini | egini (requires nu) | or_based | cre_based | rho_t
+    which: pearson | gini | egini (requires nu, which no other index takes) | or_based |
+    cre_based | rho_t
     """
     from .correlation import named_transform  # deferred: avoids an import cycle
 
+    if nu is not None and which != "egini":
+        raise DomainError(f"the weight nu applies only to egini, not to {which!r}")
     if which == "pearson":
         x, y = sample.x - sample.x.mean(), sample.y - sample.y.mean()  # no ranks needed
         vx, vy = _dot(x, x), _dot(y, y)

@@ -101,8 +101,9 @@ def _is_degenerate(d: Distribution) -> bool:
 
 def _empirical_pair_integral(f: Empirical, g: Empirical) -> float:
     # Exact integral of the product of two step quantile functions.
-    edges = np.union1d(np.arange(1.0, f.n) / f.n, np.arange(1.0, g.n) / g.n)
-    edges = np.concatenate([[0.0], edges, [1.0]])
+    edges = np.concatenate([[0.0, 1.0], np.arange(1.0, f.n) / f.n, np.arange(1.0, g.n) / g.n])
+    edges.sort()
+    edges = edges[np.diff(edges, prepend=-1.0) > 0.0]  # unique; np.union1d would import numpy.ma
     mids = 0.5 * (edges[:-1] + edges[1:])
     widths = np.diff(edges)
     return float(np.sum(widths * f.quantile(mids) * g.quantile(mids)))

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,6 +305,87 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    src = os.path.dirname(os.path.dirname(qtcorr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+_WITHOUT_SCIPY = """
+import sys
+
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"the import of {name} is refused")
+
+
+sys.meta_path.insert(0, RefuseScipy())
+from qtcorr import ExpTransformed, Normal, Weibull
+from qtcorr.cli import main
+
+GAUSSIAN = ["corr", "--copula", "gaussian:0.6", "--fx", "normal:0:1", "--gy", "logistic:0:1",
+            "--h", "exp:1", "--all"]
+for argv in (
+    ["table", "fgm-rhot"],
+    GAUSSIAN,
+    GAUSSIAN + ["--method", "mc", "--samples", "20000", "--seed", "1"],
+    ["corr", "--copula", "fgm:0.5", "--fx", "gumbel:0:1", "--gy", "weibull:1:0.5",
+     "--h", "normal:0:1", "--all"],
+    ["decompose", "--components", "exp:1,exp:1", "--g", "exp:1", "--samples", "20000",
+     "--seed", "1"],
+):
+    print("$", *argv, flush=True)
+    print("exit", main(argv), flush=True)
+cells = ExpTransformed(Normal(0.3, 0.8)).cell_means(1000)
+print(*(f"{c:.10g}" for c in cells[[0, 1, 499, 500, 998, 999]]), f"{cells.mean():.10g}")
+cells = Weibull(1.0, 0.05).cell_means(1000)
+print(*(f"{c:.10g}" for c in cells[[0, 1, 499, 998, 999]]), f"{Weibull(1.0, 0.05).mean():.10g}")
+"""
+
+
+def test_qtcorr_runs_without_scipy():
+    # The expected text is what the commands printed when the laws took their special
+    # functions from scipy.special, except the abs_diff of fgm-rhot's four normal/normal
+    # rows: 1.13816208e-07 then, 1.138162079e-07 now, the computed value one ulp apart.
+    done = _run_python(_WITHOUT_SCIPY)
+    assert done.returncode == 0, done.stderr
+    want = (Path(__file__).parent / "without_scipy.txt").read_text()
+    assert done.stdout == want
+
+
+def test_no_command_imports_a_module(tmp_path):
+    # scipy used to import numpy.random and numpy.ma at start-up; without it, the first
+    # command to need one would pay its import inside its own time.  argparse imports
+    # locale on its first parse (for gettext), so one parse comes before the snapshot.
+    path = tmp_path / "pairs.csv"
+    x, noise = np.random.default_rng(2).normal(size=(2, 300))
+    path.write_text("x,y\n" + "".join(f"{a},{a + b}\n" for a, b in zip(x, noise)))
+    code = f"""
+import contextlib, io, sys
+from qtcorr.cli import build_parser, main
+build_parser().parse_args(["table", "symmetric"])
+before = set(sys.modules)
+for argv in (
+    ["corr", "--copula", "amh:0.5", "--fx", "logistic:0:1", "--gy", "normal:0:1",
+     "--h", "exp:1", "--all", "--method", "mc", "--samples", "2000", "--seed", "1"],
+    ["decompose", "--components", "exp:1,weibull:1:2", "--g", "exp:1", "--samples", "2000",
+     "--seed", "1"],
+    ["table", "symmetric"],
+    ["estimate", "--input", {str(path)!r}, "--named", "gini"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(sorted(set(sys.modules) - before))
+"""
+    done = _run_python(code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_numerical_failure_exit_code(capsys):

@@ -56,7 +56,7 @@ from qtcorr.errors import (
     QtcorrError,
     UnsupportedOperationError,
 )
-from qtcorr.estimation import PairedSample, estimate_beta_h
+from qtcorr.estimation import PairedSample, estimate_beta_h, estimate_named
 from qtcorr.measures import IntegrationConfig, g_covariance
 
 TOL = 2e-4  # quadrature assertion tolerance: max(10 abs_tol, 2e-4)
@@ -87,6 +87,20 @@ def test_named_transform_bindings():
         named_transform("egini")
     with pytest.raises(DomainError):
         named_transform("kendall")
+
+
+def test_a_weight_is_refused_by_every_index_but_egini():
+    x = np.random.default_rng(3).normal(size=200)
+    sample = PairedSample(x, x + np.random.default_rng(4).normal(size=200))
+    for label in ("gini", "cre_based", "or_based", " GINI "):
+        assert named_transform(label, None) == named_transform(label)
+        with pytest.raises(DomainError, match="nu"):
+            named_transform(label, 3.0)
+    for which in ("gini", "cre_based", "or_based", "pearson", "rho_t"):
+        with pytest.raises(DomainError, match="nu"):
+            estimate_named(sample, which, 3.0)
+        assert math.isfinite(estimate_named(sample, which))
+    assert estimate_named(sample, "egini", 3.0) == estimate_beta_h(sample, Power(3.0))
 
 
 # -- x-y plane oracle for the dependence integral ------------------------------

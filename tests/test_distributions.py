@@ -4,11 +4,13 @@ import ast
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy import special
 from scipy.special import ndtri
 
 from qtcorr import distributions
@@ -568,3 +570,89 @@ def test_distributions_import_nothing_of_the_package_but_errors():
             names += [alias.name for alias in node.names]
     package = [name for name in names if name.startswith(".") or name.split(".")[0] == "qtcorr"]
     assert package == [".errors"]
+
+
+# -- the special-function kernels against scipy.special (and mpmath where scipy rounds off) --
+
+
+def test_ndtri_kernel_matches_scipy():
+    edges = np.array([0.0, 0.5, 1.0, -0.1, 1.1, np.nan])  # -inf, 0, inf, then NaN outside [0, 1]
+    np.testing.assert_array_equal(distributions.ndtri(edges), special.ndtri(edges))
+    tails = 10.0 ** -np.linspace(0.5, 300.0, 300)
+    inner = np.linspace(1e-4, 1.0 - 1e-4, 999)
+    p = np.concatenate([[5e-324, 1e-300, 1.0 - 2.0**-53], inner, tails, 1.0 - tails])
+    # AS241 (PPND16) is good to about 1e-16; 2e-15 leaves room for scipy's own rounding
+    np.testing.assert_allclose(distributions.ndtri(p), special.ndtri(p), rtol=2e-15, atol=0.0)
+
+
+def test_ndtr_kernel_matches_scipy_and_mpmath():
+    edges = np.array([-np.inf, np.inf, np.nan, 0.0])
+    np.testing.assert_array_equal(distributions.ndtr(edges), special.ndtr(edges))
+    x = np.concatenate([[-1.4, 1.4, -np.sqrt(2.0), np.sqrt(2.0)], np.linspace(-10.0, 8.5, 1851)])
+    # the rationals are good to about 1e-15; scipy's e^(-x^2 / 2) rounds to about 1e-14 at x = -10
+    np.testing.assert_allclose(distributions.ndtr(x), special.ndtr(x), rtol=5e-14, atol=0.0)
+    # deeper, scipy's error grows to 2e-13, so mpmath is the oracle; the kernel keeps 5e-14
+    deep = np.linspace(-37.5, -10.0, 56)
+    want = np.array([float(mpmath.ncdf(v)) for v in deep])
+    np.testing.assert_allclose(distributions.ndtr(deep), want, rtol=5e-14, atol=0.0)
+    # scipy flushes Phi(-38) = 2.885e-316 to 0; the kernel keeps the subnormal to a few of its ulps
+    assert distributions.ndtr(-38.0) == pytest.approx(float(mpmath.ncdf(-38)), rel=1e-7)
+    assert distributions.ndtr(-40.0) == 0.0
+
+
+@pytest.mark.parametrize("a", [1.01, 1.5, 3.0, 21.0, 51.0])
+def test_incomplete_gamma_kernel_matches_scipy(a):
+    seam = a + 1.0  # power series below, continued fraction from here on
+    x = np.concatenate(
+        [[0.0, seam, np.nextafter(seam, 0.0), np.nextafter(seam, np.inf), 800.0, np.inf],
+         np.linspace(0.0, 3.0 * a + 30.0, 401)]
+    )
+    for upper, oracle in ((False, special.gammainc), (True, special.gammaincc)):
+        got, want = distributions._gamma_inc(a, x, upper), oracle(a, x)
+        # x^a e^-x / Gamma(a) rounds its exponent, about a log x, to 1e-16 each: 1e-13 up to a = 51
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        assert got[0] == (1.0 if upper else 0.0) and got[5] == (0.0 if upper else 1.0)
+
+
+def test_incomplete_gamma_kernel_keeps_its_series_in_range_for_large_a():
+    # the series runs in x / max x, so its coefficients neither underflow nor overflow;
+    # the error then grows like the exponent a log x of x^a e^-x / Gamma(a)
+    a = 1001.0
+    x = np.concatenate([[a + 1.0], np.linspace(800.0, 1200.0, 401)])
+    for upper, oracle in ((False, special.gammainc), (True, special.gammaincc)):
+        np.testing.assert_allclose(distributions._gamma_inc(a, x, upper), oracle(a, x), rtol=5e-12)
+
+
+def test_exp1_kernel_matches_scipy():
+    x = np.concatenate(
+        [[0.0, 1.0, 700.0, np.inf], np.linspace(1e-3, 2.0, 400), np.linspace(2.0, 700.0, 400)]
+    )
+    got, want = distributions._exp1(x), special.exp1(x)
+    assert got[0] == np.inf and got[3] == 0.0
+    # series and fraction are good to a few 1e-15; 5e-14 bounds them with scipy's rounding
+    np.testing.assert_allclose(got, want, rtol=5e-14, atol=0.0)
+
+
+def test_expit_kernel_matches_scipy():
+    z = np.concatenate([[-800.0, 800.0, 0.0], np.linspace(-700.0, 700.0, 1401)])
+    got, want = distributions._expit(z), special.expit(z)
+    assert list(got[:3]) == [0.0, 1.0, 0.5]
+    # e^-|z| and one division: each side is within two ulps
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+def test_kernel_values_do_not_depend_on_the_rest_of_the_array():
+    # every kernel is elementwise, so a value computed alone equals it inside a large array
+    p = np.random.default_rng(5).random((3, 2 * distributions._BLOCK + 7))
+    kernels = (
+        distributions.ndtri,
+        distributions.ndtr,
+        lambda v: distributions._gamma_inc(3.0, 8.0 * v, True),
+        lambda v: distributions._exp1(3.0 * v),
+    )
+    for kernel in kernels:
+        whole = kernel(p)
+        assert whole.shape == p.shape
+        picks = p.ravel()[::997]
+        assert np.array_equal(whole.ravel()[::997], [float(kernel(v)) for v in picks])
+    assert distributions.ndtri(0.5).shape == ()
