@@ -526,6 +526,11 @@ class Empirical(Distribution):
         self._values = arr
         self.support = (float(arr[0]), float(arr[-1]))
 
+    def __repr__(self) -> str:
+        # like the dataclass laws, a repr that names the law and not its address
+        shown = np.array2string(self._values, separator=", ", threshold=8, edgeitems=3)
+        return f"Empirical(values={shown})"
+
     @property
     def name(self) -> str:
         return "empirical"

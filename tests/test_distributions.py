@@ -656,3 +656,8 @@ def test_kernel_values_do_not_depend_on_the_rest_of_the_array():
         picks = p.ravel()[::997]
         assert np.array_equal(whole.ravel()[::997], [float(kernel(v)) for v in picks])
     assert distributions.ndtri(0.5).shape == ()
+
+
+def test_empirical_repr_names_its_values_not_its_address():
+    assert repr(Empirical([4, 1, 2])) == "Empirical(values=[1., 2., 4.])"
+    assert repr(Empirical(np.arange(20.0))) == "Empirical(values=[ 0.,  1.,  2., ..., 17., 18., 19.])"
