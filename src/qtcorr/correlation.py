@@ -48,7 +48,7 @@ from .distributions import (
     Uniform,
 )
 from .errors import DegenerateError, DomainError
-from .estimation import _cov, _rank_cell_means
+from .estimation import _cov, _sorted_cells, _sorted_runs, _unsorted
 from .measures import DEFAULT_CONFIG, IntegrationConfig, _once, g_covariance
 
 
@@ -176,8 +176,10 @@ class _MonteCarlo(_Evaluator):
 
     def cells(self, h: Distribution) -> tuple[np.ndarray, ...]:
         """H^{-1} rank-cell means at the ranks of u and of v."""
-        if h not in self._cells:
-            self._cells[h] = tuple(_read_only(_rank_cell_means(h, c)) for c in (self.u, self.v))
+        if h not in self._cells:  # one H grid for both columns
+            (ou, _, bu), (ov, _, bv) = _sorted_runs(self.u), _sorted_runs(self.v)
+            cells = _sorted_cells(h, self.u.size, bu, bv)
+            self._cells[h] = tuple(_read_only(_unsorted(o, c)) for o, c in zip((ou, ov), cells))
         return self._cells[h]
 
     def _key(self, *key) -> tuple:

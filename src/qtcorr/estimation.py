@@ -3,16 +3,21 @@
 The estimators replace the population marginal CDFs by ranks and the
 population covariances by sample covariances.  A sample is sorted and
 centred once for all estimators: the last sample's sorted view (3n floats,
-centred in place) is kept, and every rank covariance is a blocked dot
-product in sorted order that allocates nothing of the sample's size.
+centred in place) is kept with x summed over each tied run, and every rank
+covariance is a blocked dot product in sorted order that allocates nothing
+of the sample's size.
 
 Transform-law quantiles are exact averages over each rank's probability
-cell, from the law's partial quantile integrals; this keeps the values
+cell, from the law's partial quantile integrals QI; this keeps the values
 finite for unbounded laws and, unlike the bare rank / (n + 1) plug-in,
 stays unbiased enough for heavy-tailed transforms whose pointwise
 quantiles have infinite variance.  A law without exact partial integrals
-raises ``UnsupportedOperationError``.  The Monte Carlo indices and the
-standby decomposition use the same rank-cell means.
+raises ``UnsupportedOperationError``.  A plug-in covariance is a sum over
+the tied runs of the sorted column: the partner summed over the run times
+the run's mean cell, n * dQI / size, less the mean over all cells.  A tied
+column reads QI at its run edges only; an untied one streams its cells in
+blocks of 16,384 and never builds the n-cell grid.  The Monte Carlo indices
+and the standby decomposition use the same rank-cell means.
 
 Ties have zero probability under continuous laws but occur in real data:
 a tied run shares one value (the mean of its cells), and each plug-in
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution
+from .distributions import _BLOCK, Distribution, Empirical
 from .errors import DegenerateError, DomainError
 
 
@@ -97,7 +102,12 @@ def _pooled(sorted_values: np.ndarray, bounds: np.ndarray | None) -> np.ndarray:
     if bounds is None:
         return sorted_values
     sizes = np.diff(bounds)
-    return np.repeat(np.add.reduceat(sorted_values, bounds[:-1]) / sizes, sizes)
+    return np.repeat(_run_sums(sorted_values, bounds) / sizes, sizes)
+
+
+def _run_sums(values: np.ndarray, bounds: np.ndarray | None) -> np.ndarray:
+    """Sorted-order values summed over each tied run (the values themselves without ties)."""
+    return values if bounds is None else np.add.reduceat(values, bounds[:-1])
 
 
 def _unsorted(order: np.ndarray, sorted_values: np.ndarray) -> np.ndarray:
@@ -124,15 +134,12 @@ def _cov(a: np.ndarray, b: np.ndarray) -> float:
     return _dot(a - a.mean(), b - b.mean()) / (a.size - 1)
 
 
-def _sorted_cells(h: Distribution, n: int, *bounds_per_column, centred=False) -> list:
+def _sorted_cells(h: Distribution, n: int, *bounds_per_column) -> list:
     """H^{-1} rank-cell means in sorted order, one array per column's tied-run bounds.
 
     Position k gets the mean over the k-th of n equal cells; a tied run, its cells' mean.
-    ``centred`` subtracts the grid's mean in place before pooling, which keeps it at zero.
     """
     cells = h.cell_means(n)
-    if centred:
-        cells -= cells.mean()
     return [_pooled(cells, b) for b in bounds_per_column]
 
 
@@ -142,21 +149,84 @@ def _rank_cell_means(h: Distribution, column: np.ndarray) -> np.ndarray:
     return _unsorted(order, _sorted_cells(h, column.size, bounds)[0])
 
 
+def _cell_blocks(h: Distribution, n: int, edges: np.ndarray | None = None):
+    """Yield the mean over all n cells, then blocks (k, masses): n times the H^{-1} mass
+    between consecutive edges, for pieces k, k + 1, ...
+
+    Edges are sorted ints from 0 to n that include n // 2: QI reads them up to it and QI_comp
+    from it (never mu - QI_comp), one call per half.  Without edges each cell is a piece, and
+    blocks of _BLOCK cells stream h.cell_means(n) bit for bit, each half's top block first.
+    """
+    half, pieces = n // 2, n if edges is None else edges.size - 1
+    hooks = (h.quantile_integral, half), (h.quantile_integral_comp, n - half)
+    # an Empirical law re-sums all its values on every QI call: one block per half
+    step = _BLOCK if edges is None and not isinstance(h, Empirical) else n
+    if edges is not None:
+        cut = np.searchsorted(edges, half)
+        tied = edges[1 : cut + 1], n - edges[cut:-1][::-1]
+
+    def values(side, k):  # QI or QI_comp at the nodes of the block from piece k
+        qi, top = hooks[side]
+        return qi((np.arange(k + 1.0, min(k + step, top) + 1) if edges is None else tied[side]) / n)
+
+    tops = [values(side, (top - 1) // step * step) for side, (_, top) in enumerate(hooks)]
+    yield tops[0][-1] + tops[1][-1]  # QI(half / n) + QI_comp((n - half) / n)
+    for side, (_, top) in enumerate(hooks):  # the upper side runs down from cell n - 1
+        carry, done = 0.0, 0
+        for k in range(0, top, step):
+            q = tops[side] if k + step >= top else values(side, k)
+            masses = np.empty(q.size)
+            piece = masses[::-1] if side else masses
+            piece[0] = q[0] - carry
+            np.subtract(q[1:], q[:-1], out=piece[1:])
+            masses *= n
+            carry, done = q[-1], done + q.size
+            yield pieces - done if side else done - q.size, masses
+
+
+def _cell_dots(h: Distribution, n: int, *columns) -> list:
+    """sum_r w_r (m_r - c) for each column (bounds, w): w is the partner column summed over
+    each tied run of the sorted column (bounds None: one run per cell), m_r the H^{-1} mean
+    over run r's cells and c the mean over all n cells.
+    """
+    if all(b is None for b, _ in columns):  # one partition: stream the cells
+        blocks = _cell_blocks(h, n)
+        c, dots = next(blocks), [0.0] * len(columns)
+        for k, cells in blocks:
+            cells -= c
+            dots = [d + _dot(w[k : k + cells.size], cells) for d, (_, w) in zip(dots, columns)]
+        return dots
+    bounds = [np.arange(n + 1) if b is None else b for b, _ in columns]
+    marked = np.zeros(n + 1, dtype=bool)  # QI at every column's run edges, in one call per half
+    for b in (*bounds, n // 2):
+        marked[b] = True
+    edges = np.flatnonzero(marked)
+    blocks = _cell_blocks(h, n, edges)
+    c, masses = next(blocks), np.concatenate([m for _, m in blocks])
+    return [
+        _dot(w, np.add.reduceat(masses, np.searchsorted(edges, b[:-1])) / np.diff(b) - c)
+        for b, (_, w) in zip(bounds, columns)
+    ]
+
+
 def _coupled_cov(h: Distribution, column: np.ndarray) -> float:
     """Cov(column, its H^{-1} rank-cell means), taken in sorted order."""
     ordered = np.sort(column)
-    return _cov(ordered, _sorted_cells(h, column.size, _runs(ordered))[0])
+    bounds = _runs(ordered)
+    ordered -= ordered.mean()  # after finding runs: centring can merge distinct values
+    return _cell_dots(h, column.size, (bounds, _run_sums(ordered, bounds)))[0] / (column.size - 1)
 
 
 @functools.lru_cache(maxsize=1)  # keyed on the sample's identity; holds the last sample
 def _ranked(sample: PairedSample):
-    """(sorted x, its tied-run bounds, sorted y, its bounds, x in the order of y), centred."""
+    """(sorted x, its tied-run bounds, sorted y, its bounds, x in the order of y), centred,
+    then x summed over each run of sorted x and of sorted y."""
     xs = np.sort(sample.x)
     oy, ys, by = _sorted_runs(sample.y)
-    ranked = xs, _runs(xs), ys, by, sample.x[oy]
-    for column in ranked[::2]:  # after finding runs: centring can merge distinct values
+    bx, x_by_y = _runs(xs), sample.x[oy]
+    for column in (xs, ys, x_by_y):  # after finding runs: centring can merge distinct values
         column -= column.mean()
-    return ranked
+    return xs, bx, ys, by, x_by_y, _run_sums(xs, bx), _run_sums(x_by_y, by)
 
 
 def estimate_beta_h(sample: PairedSample, h: Distribution) -> float:
@@ -166,13 +236,12 @@ def estimate_beta_h(sample: PairedSample, h: Distribution) -> float:
     (x, H^{-1}(F_hat(x))); exactly 1 on comonotone data and invariant
     under strictly increasing transforms of the y column.
     """
-    xs, bx, _, by, x_by_y = _ranked(sample)
+    _, bx, _, by, _, wx, wy = _ranked(sample)
     _warn_ties(bx, by)
-    tx, ty = _sorted_cells(h, sample.n, bx, by, centred=True)
-    den = _dot(xs, tx)
-    if not den > 0.0:
+    den, num = _cell_dots(h, sample.n, (bx, wx), (by, wy))
+    if not den > 0.0 or (bx is not None and bx.size == 2):  # or x is one tied run
         raise DegenerateError("degenerate plug-in denominator")
-    return _dot(x_by_y, ty) / den
+    return num / den
 
 
 def _at_average_ranks(bounds, other_sorted: np.ndarray) -> np.ndarray:
@@ -186,7 +255,7 @@ def _at_average_ranks(bounds, other_sorted: np.ndarray) -> np.ndarray:
 
 def _rho_t_hat(sample: PairedSample) -> float:
     # Q-transform plug-in: empirical quantiles paired through ranks.
-    xs, bx, ys, by, x_by_y = _ranked(sample)
+    xs, bx, ys, by, x_by_y, _, _ = _ranked(sample)
     _warn_ties(bx, by)
     # G_hat^{-1}(F_hat(x_i)) pairs each x with the y order statistic at x's rank;
     # against a centred column, a dot product is already n - 1 times the covariance.
@@ -207,11 +276,14 @@ def estimate_named(sample: PairedSample, which: str, nu: float | None = None) ->
     if nu is not None and which != "egini":
         raise DomainError(f"the weight nu applies only to egini, not to {which!r}")
     if which == "pearson":
-        x, y = sample.x - sample.x.mean(), sample.y - sample.y.mean()  # no ranks needed
-        vx, vy = _dot(x, x), _dot(y, y)
+        mx, my, vx, vy, vxy = sample.x.mean(), sample.y.mean(), 0.0, 0.0, 0.0
+        for k in range(0, sample.n, _BLOCK):  # no ranks needed; centred block by block
+            x, y = sample.x[k : k + _BLOCK] - mx, sample.y[k : k + _BLOCK] - my
+            vx, vy, vxy = vx + _dot(x, x), vy + _dot(y, y), vxy + _dot(x, y)
+            del x, y  # before the next block's pair is made
         if not (vx > 0.0 and vy > 0.0):
             raise DegenerateError("zero sample variance")
-        return _dot(x, y) / np.sqrt(vx * vy)
+        return vxy / np.sqrt(vx * vy)
     if which == "rho_t":
         return _rho_t_hat(sample)
     spec = named_transform(which, nu)

@@ -561,13 +561,16 @@ _ALLOC_PIN_SAMPLES = _alloc_pin_samples()
 @pytest.mark.parametrize(
     "which, variant, pin",
     [
-        ("gini", "clean", 2.5),
-        ("gini", "tied", 3.5),
-        ("or_based", "clean", 3.0),  # the logistic partial integral's two buffers
-        ("or_based", "tied", 3.5),
+        ("gini", "clean", 1.25),  # a few blocks of streamed cells: 1.0 at this n
+        ("gini", "tied", 0.5),
+        ("or_based", "clean", 1.25),
+        ("or_based", "tied", 0.5),
+        ("cre_based", "clean", 1.25),
+        ("cre_based", "tied", 0.5),
         ("rho_t", "clean", 0.5),
         ("rho_t", "tied", 1.5),
-        ("pearson", "clean", 2.5),  # its own centred copies of x and y
+        ("pearson", "clean", 0.5),  # centred block by block
+        ("pearson", "tied", 0.5),
     ],
 )
 def test_repeat_estimate_allocates_at_most_its_pin(which, variant, pin):
@@ -598,3 +601,153 @@ def test_ties_are_found_before_centring():
         warnings.simplefilter("error")
         for which in ("gini", "rho_t", "pearson"):
             estimate_named(PairedSample(x, y), which)
+
+
+# -- rank-cell means without the grid: run edges and streamed cells -------------
+
+from qtcorr.correlation import _MonteCarlo  # noqa: E402
+from qtcorr.estimation import _cell_blocks, _cell_dots, _run_sums  # noqa: E402
+from qtcorr.measures import IntegrationConfig  # noqa: E402
+
+_CELL_SIZES = [3, 4, 5, 1000, 10**5 + 1]
+
+
+@pytest.mark.parametrize("n", _CELL_SIZES)
+@pytest.mark.parametrize("h", _INVARIANCE_LAWS, ids=lambda h: h.name)
+def test_streamed_cells_are_cell_means_bit_for_bit(h, n):
+    grid = h.cell_means(n)
+    cells = np.full(n, np.nan)
+    blocks = _cell_blocks(h, n)
+    c = next(blocks)
+    for k, block in blocks:
+        cells[k : k + block.size] = block
+    assert np.array_equal(cells, grid)
+    assert c == pytest.approx(math.fsum(grid) / n, rel=1e-13, abs=1e-15)
+
+
+def _oracle_cell_dot(h, bounds, partner):
+    """Former grid route: the full cell grid, centred, each tied run pooled by np.repeat."""
+    cells = h.cell_means(partner.size)
+    cells -= cells.mean()
+    if bounds is not None:
+        sizes = np.diff(bounds)
+        cells = np.repeat(np.add.reduceat(cells, bounds[:-1]) / sizes, sizes)
+    products = partner * cells
+    return math.fsum(products), math.fsum(np.abs(products))
+
+
+def _run_bound_cases(n):
+    half = n // 2
+    return {
+        "untied": None,
+        "straddling n // 2": np.unique([0, max(half - 1, 0), min(half + 2, n), n]),
+        "holding cells 0 and n - 1": np.unique([0, 2, n - 2, n]),
+        "n - 1 and a singleton": np.array([0, n - 1, n]),
+        "a singleton and n - 1": np.array([0, 1, n]),
+    }
+
+
+@pytest.mark.parametrize("n", _CELL_SIZES)
+@pytest.mark.parametrize("h", _INVARIANCE_LAWS, ids=lambda h: h.name)
+def test_run_edge_cell_dots_match_the_pooled_grid(h, n):
+    rng = np.random.default_rng(n)
+    cases = _run_bound_cases(n)
+    for first in cases.values():
+        for second in (None, cases["straddling n // 2"]):  # alone, mixed, or two tied columns
+            partners = [rng.normal(size=n) for _ in range(2)]
+            for p in partners:
+                p -= p.mean()
+            got = _cell_dots(
+                h, n, *((b, _run_sums(p, b)) for b, p in zip((first, second), partners))
+            )
+            for value, b, p in zip(got, (first, second), partners):
+                want, scale = _oracle_cell_dot(h, b, p)
+                assert abs(value - want) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("h", _INVARIANCE_LAWS, ids=lambda h: h.name)
+def test_constant_y_column_estimates_zero(h):
+    x = np.random.default_rng(2).normal(size=1000)
+    for y in (np.full(1000, 0.3), np.full(1000, 7.0)):
+        for column in (x, np.round(x, 1)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert abs(estimate_beta_h(PairedSample(column, y), h)) <= 1e-15
+
+
+@pytest.mark.parametrize("h", _INVARIANCE_LAWS, ids=lambda h: h.name)
+def test_all_tied_x_column_is_degenerate(h):
+    for n in (10, 1001):
+        for value in (1.0, 0.1, 0.3, 1e4 + 0.1, math.pi):
+            for y in (np.arange(float(n)), np.round(np.arange(float(n)) / 7)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    with pytest.raises(DegenerateError):
+                        estimate_beta_h(PairedSample(np.full(n, value), y), h)
+
+
+@pytest.mark.parametrize("variant", ["clean", "tied"])
+def test_an_empirical_law_is_summed_at_most_twice_per_estimate(monkeypatch, variant):
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=10**5)
+    y = x + rng.normal(size=10**5)
+    if variant == "tied":
+        x, y = np.round(x, 1), np.round(y, 1)
+    sample, h = PairedSample(x, y), Empirical(rng.gamma(2.0, size=10**5))
+    calls = []
+    original = Empirical._step_integral
+
+    def counted(values, p):
+        calls.append(p.size)
+        return original(values, p)
+
+    monkeypatch.setattr(Empirical, "_step_integral", staticmethod(counted))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for _ in range(2):
+            before = len(calls)
+            estimate_beta_h(sample, h)
+            assert len(calls) - before <= 2
+
+
+@pytest.mark.parametrize("h", [Exponential(1), Pareto(0.5), Empirical(np.arange(1.0, 50.0))])
+def test_monte_carlo_cells_share_one_grid_and_equal_the_per_column_means(monkeypatch, h):
+    model = BivariateModel(FGM(1.0), Exponential(1), Logistic(0, 1))
+    mc = _MonteCarlo(model, IntegrationConfig(method="monte_carlo", mc_samples=20_000, seed=3))
+    grids = []
+    original = type(h).cell_means
+
+    def counted(self, n):
+        grids.append(n)
+        return original(self, n)
+
+    monkeypatch.setattr(type(h), "cell_means", counted)
+    cells = mc.cells(h)
+    assert grids == [20_000]
+    for got, column in zip(cells, (mc.u, mc.v)):
+        assert np.array_equal(got, _rank_cell_means(h, column))
+
+
+def test_repeat_cell_dots_allocate_a_fixed_number_of_blocks():
+    # untied cells stream in blocks of 16,384: the peak is a few blocks at any n, here
+    # under half a sample of 4 * 10**5 floats; tied runs read QI at their edges only
+    import tracemalloc
+
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=400_000)
+    y = x + rng.normal(size=400_000)
+    for sample in (PairedSample(x, y), PairedSample(np.round(x, 1), np.round(y, 1))):
+        for which, nu in [("gini", None), ("or_based", None), ("cre_based", None),
+                          ("egini", 0.5), ("egini", 3.0)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                estimate_named(sample, which, nu)
+                tracemalloc.start()
+                try:
+                    before = tracemalloc.get_traced_memory()[0]
+                    tracemalloc.reset_peak()
+                    estimate_named(sample, which, nu)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert (peak - before) / (8 * sample.n) <= 0.5, (which, nu)
