@@ -63,12 +63,19 @@ class Copula:
     def family(self) -> str:
         return type(self).__name__.lower()
 
+    @property
+    def independent(self) -> bool:
+        """True for a family's independence member, whose excess is identically 0."""
+        return False
+
     def excess(self, u, uc, v, vc):
         """C(u, v) - u v with exact complements uc = 1-u, vc = 1-v."""
         raise NotImplementedError
 
     def dependence_integral(self, weight_u, weight_v, abs_tol: float, tail_eps: float) -> float:
         """integral of excess(u, v) qd_wu(u) qd_wv(v) over the unit square, in 2-D."""
+        if self.independent:
+            return 0.0
 
         def g2(pu, upper_u, pv, upper_v):
             u, uc, wu = _tail_aware(weight_u, pu, upper_u)
@@ -107,6 +114,8 @@ class Copula:
 
 @dataclass(frozen=True)
 class Independence(Copula):
+    independent = True
+
     def excess(self, u, uc, v, vc):
         return np.zeros(np.broadcast_shapes(np.shape(u), np.shape(v)))
 
@@ -161,6 +170,10 @@ class GumbelBarnett(Copula):
         if not (math.isfinite(self.theta) and 0.0 <= self.theta <= 1.0):
             raise DomainError(f"Gumbel-Barnett requires theta in [0, 1], got {self.theta}")
 
+    @property
+    def independent(self):
+        return self.theta == 0.0
+
     def excess(self, u, uc, v, vc):
         # the excess vanishes on the whole boundary; guard the log corners
         boundary = (u <= 0.0) | (v <= 0.0) | (uc <= 0.0) | (vc <= 0.0)
@@ -206,6 +219,10 @@ class AMH(Copula):
         if not (math.isfinite(self.theta) and -1.0 <= self.theta <= 1.0):
             raise DomainError(f"AMH requires theta in [-1, 1], got {self.theta}")
 
+    @property
+    def independent(self):
+        return self.theta == 0.0
+
     def _denom(self, u, v):
         # 1 - theta (1-u)(1-v), grouped to stay exact for tiny u, v
         return (1.0 - self.theta) + self.theta * (u + v - u * v)
@@ -248,6 +265,10 @@ class GaussianCopula(Copula):
     def __post_init__(self):
         if not (math.isfinite(self.rho) and -1.0 < self.rho < 1.0):
             raise DomainError(f"Gaussian copula requires rho in (-1, 1), got {self.rho}")
+
+    @property
+    def independent(self):
+        return self.rho == 0.0
 
     def excess(self, u, uc, v, vc):
         # dC/drho is the bivariate normal density (Plackett 1954); with r = sin(th),

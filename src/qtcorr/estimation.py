@@ -2,10 +2,12 @@
 
 The estimators replace the population marginal CDFs by ranks and the
 population covariances by sample covariances.  A sample is sorted and
-centred once for all estimators: the last sample's sorted view (3n floats,
-centred in place) is kept with x summed over each tied run, and every rank
+centred once for all estimators: one sample's sorted view (3n floats,
+centred in place) is kept at a time, with x summed over each tied run, and
+it is released before the next sample's view is built.  Every rank
 covariance is a blocked dot product in sorted order that allocates nothing
-of the sample's size.
+of the sample's size; the tied denominators of the Q-transform plug-in
+rho_t are dots of run sums with each run's average-rank values.
 
 Transform-law quantiles are exact averages over each rank's probability
 cell, from the law's partial quantile integrals QI; this keeps the values
@@ -14,10 +16,12 @@ stays unbiased enough for heavy-tailed transforms whose pointwise
 quantiles have infinite variance.  A law without exact partial integrals
 raises ``UnsupportedOperationError``.  A plug-in covariance is a sum over
 the tied runs of the sorted column: the partner summed over the run times
-the run's mean cell, n * dQI / size, less the mean over all cells.  A tied
-column reads QI at its run edges only; an untied one streams its cells in
-blocks of 16,384 and never builds the n-cell grid.  The Monte Carlo indices
-and the standby decomposition use the same rank-cell means.
+the run's mean cell, n * dQI / size, less the mean over all cells.  Each
+column takes its own route, also when only one of the two is tied: the
+tied columns read QI at their run edges only, and the untied ones share
+one stream of the cells in blocks of 16,384; no estimator builds the
+n-cell grid.  The Monte Carlo indices and the standby decomposition use
+the same rank-cell means.
 
 Ties have zero probability under continuous laws but occur in real data:
 a tied run shares one value (the mean of its cells), and each plug-in
@@ -31,7 +35,6 @@ U-statistic variants would be equally natural).
 from __future__ import annotations
 
 import csv
-import functools
 import math
 import sys
 import warnings
@@ -188,25 +191,31 @@ def _cell_dots(h: Distribution, n: int, *columns) -> list:
     """sum_r w_r (m_r - c) for each column (bounds, w): w is the partner column summed over
     each tied run of the sorted column (bounds None: one run per cell), m_r the H^{-1} mean
     over run r's cells and c the mean over all n cells.
+
+    The untied columns share one streamed pass of the cells; the tied ones read QI at the
+    union of their run edges only.
     """
-    if all(b is None for b, _ in columns):  # one partition: stream the cells
+    dots = [0.0] * len(columns)
+    untied = [i for i, (b, _) in enumerate(columns) if b is None]
+    tied = [i for i, (b, _) in enumerate(columns) if b is not None]
+    if untied:
         blocks = _cell_blocks(h, n)
-        c, dots = next(blocks), [0.0] * len(columns)
+        c = next(blocks)
         for k, cells in blocks:
             cells -= c
-            dots = [d + _dot(w[k : k + cells.size], cells) for d, (_, w) in zip(dots, columns)]
-        return dots
-    bounds = [np.arange(n + 1) if b is None else b for b, _ in columns]
-    marked = np.zeros(n + 1, dtype=bool)  # QI at every column's run edges, in one call per half
-    for b in (*bounds, n // 2):
-        marked[b] = True
-    edges = np.flatnonzero(marked)
-    blocks = _cell_blocks(h, n, edges)
-    c, masses = next(blocks), np.concatenate([m for _, m in blocks])
-    return [
-        _dot(w, np.add.reduceat(masses, np.searchsorted(edges, b[:-1])) / np.diff(b) - c)
-        for b, (_, w) in zip(bounds, columns)
-    ]
+            for i in untied:
+                dots[i] += _dot(columns[i][1][k : k + cells.size], cells)
+    if tied:  # one QI call per half, at the union of the run edges
+        edges = np.concatenate([*(columns[i][0] for i in tied), [n // 2]])
+        edges.sort()
+        edges = edges[np.append(True, edges[1:] != edges[:-1])]
+        blocks = _cell_blocks(h, n, edges)
+        c, masses = next(blocks), np.concatenate([m for _, m in blocks])
+        for i in tied:
+            b, w = columns[i]
+            means = np.add.reduceat(masses, np.searchsorted(edges, b[:-1])) / np.diff(b)
+            dots[i] = _dot(w, means - c)
+    return dots
 
 
 def _coupled_cov(h: Distribution, column: np.ndarray) -> float:
@@ -217,16 +226,24 @@ def _coupled_cov(h: Distribution, column: np.ndarray) -> float:
     return _cell_dots(h, column.size, (bounds, _run_sums(ordered, bounds)))[0] / (column.size - 1)
 
 
-@functools.lru_cache(maxsize=1)  # keyed on the sample's identity; holds the last sample
+_ranked_memo: dict = {}  # the last ranked sample (keyed on its identity) and its view
+
+
 def _ranked(sample: PairedSample):
     """(sorted x, its tied-run bounds, sorted y, its bounds, x in the order of y), centred,
-    then x summed over each run of sorted x and of sorted y."""
-    xs = np.sort(sample.x)
-    oy, ys, by = _sorted_runs(sample.y)
-    bx, x_by_y = _runs(xs), sample.x[oy]
-    for column in (xs, ys, x_by_y):  # after finding runs: centring can merge distinct values
-        column -= column.mean()
-    return xs, bx, ys, by, x_by_y, _run_sums(xs, bx), _run_sums(x_by_y, by)
+    then x summed over each run of sorted x and of sorted y.
+
+    One sample's view is held at a time: the last one is released before the next is built.
+    """
+    if sample not in _ranked_memo:
+        _ranked_memo.clear()
+        xs = np.sort(sample.x)
+        oy, ys, by = _sorted_runs(sample.y)
+        bx, x_by_y = _runs(xs), sample.x[oy]
+        for column in (xs, ys, x_by_y):  # after finding runs: centring can merge distinct values
+            column -= column.mean()
+        _ranked_memo[sample] = xs, bx, ys, by, x_by_y, _run_sums(xs, bx), _run_sums(x_by_y, by)
+    return _ranked_memo[sample]
 
 
 def estimate_beta_h(sample: PairedSample, h: Distribution) -> float:
@@ -244,25 +261,37 @@ def estimate_beta_h(sample: PairedSample, h: Distribution) -> float:
     return num / den
 
 
-def _at_average_ranks(bounds, other_sorted: np.ndarray) -> np.ndarray:
-    """other_sorted at each sorted position's rank; a tied run reads np.interp at its average rank."""
+def _dot_at_average_ranks(bounds, run_sums: np.ndarray, other_sorted: np.ndarray) -> float:
+    """Dot of a sorted column with other_sorted at each position's rank, from the column
+    summed over its tied runs: a run reads other_sorted by np.interp at its average rank."""
     if bounds is None:
-        return other_sorted
+        return _dot(run_sums, other_sorted)
     twice_mid = bounds[:-1] + bounds[1:] - 1
     mid = 0.5 * (other_sorted[twice_mid // 2] + other_sorted[(twice_mid + 1) // 2])
-    return np.repeat(mid, np.diff(bounds))
+    return _dot(run_sums, mid)
 
 
 def _rho_t_hat(sample: PairedSample) -> float:
     # Q-transform plug-in: empirical quantiles paired through ranks.
-    xs, bx, ys, by, x_by_y, _, _ = _ranked(sample)
+    xs, bx, ys, by, x_by_y, wx, _ = _ranked(sample)
     _warn_ties(bx, by)
     # G_hat^{-1}(F_hat(x_i)) pairs each x with the y order statistic at x's rank;
     # against a centred column, a dot product is already n - 1 times the covariance.
-    den = _dot(xs, _at_average_ranks(bx, ys)) * _dot(ys, _at_average_ranks(by, xs))
+    den = _dot_at_average_ranks(bx, wx, ys) * _dot_at_average_ranks(by, _run_sums(ys, by), xs)
     if not den > 0.0:
         raise DegenerateError("degenerate plug-in denominator")
     return _dot(x_by_y, ys) / np.sqrt(den)
+
+
+def _no_spread(column: np.ndarray, mean: float, squares: float) -> bool:
+    """Whether a column has zero sample variance, from its sum of squares about its mean.
+
+    A constant column centres to equal residues of a few ulps of its mean, not to zeros;
+    only a sum of squares that small pays for the exact test.
+    """
+    if not squares > 0.0:
+        return True
+    return squares <= column.size * (1e-12 * mean) ** 2 and column.min() == column.max()
 
 
 def estimate_named(sample: PairedSample, which: str, nu: float | None = None) -> float:
@@ -281,7 +310,7 @@ def estimate_named(sample: PairedSample, which: str, nu: float | None = None) ->
             x, y = sample.x[k : k + _BLOCK] - mx, sample.y[k : k + _BLOCK] - my
             vx, vy, vxy = vx + _dot(x, x), vy + _dot(y, y), vxy + _dot(x, y)
             del x, y  # before the next block's pair is made
-        if not (vx > 0.0 and vy > 0.0):
+        if _no_spread(sample.x, mx, vx) or _no_spread(sample.y, my, vy):
             raise DegenerateError("zero sample variance")
         return vxy / np.sqrt(vx * vy)
     if which == "rho_t":

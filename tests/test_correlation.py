@@ -660,6 +660,23 @@ def test_fgm_rhot_table_integrates_no_2d_point(monkeypatch):
     assert dependence_integral(FGM(0.0), Weibull(1, 2), Logistic(0, 1)) == 0.0
 
 
+def test_independence_members_integrate_no_2d_point(monkeypatch):
+    import qtcorr.bivariate as bivariate
+
+    calls = []
+    engine = bivariate.unit_integral_2d
+    monkeypatch.setattr(
+        bivariate, "unit_integral_2d", lambda *a: calls.append(a) or engine(*a)
+    )
+    _quadrature_memo.cache_clear()
+    for cop in (Independence(), GumbelBarnett(0.0), AMH(0.0), GaussianCopula(0.0)):
+        assert cop.independent
+        assert repr(dependence_integral(cop, Weibull(1, 2), Logistic(0, 1))) == "0.0"
+    assert calls == []
+    for cop in (GumbelBarnett(0.5), AMH(-1.0), GaussianCopula(-0.3), FrechetUpper()):
+        assert not cop.independent
+
+
 def test_a_transform_without_exact_cell_means_is_refused_never_approximated():
     # exp of a Weibull has no exact partial quantile integral: every use of its mean or
     # rank-cell means raises instead of falling back to a midpoint or pointwise quantile

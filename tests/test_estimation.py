@@ -105,6 +105,18 @@ def test_degenerate_sample_errors():
             estimate_named(PairedSample(x, y), "pearson")
 
 
+@pytest.mark.parametrize("value", [0.3, 0.1, math.pi, 1e4 + 0.1])
+def test_pearson_refuses_a_constant_column(value):
+    # x - mean leaves equal residues of an ulp or so, whose sum of squares is positive
+    constant, other = np.full(1000, value), np.arange(1000.0)
+    for sample in (PairedSample(constant, other), PairedSample(other, constant)):
+        with pytest.raises(DegenerateError):
+            estimate_named(sample, "pearson")
+    nearly = constant.copy()  # one value an ulp away is a spread, however small
+    nearly[-1] = np.nextafter(value, np.inf)
+    assert 0.0 < estimate_named(PairedSample(nearly, other), "pearson") < 1.0
+
+
 def _model_sample(model, n, seed):
     return model.sample(n, seed)
 
@@ -284,6 +296,14 @@ def _tied_columns():
         yield np.round(x, decimals), np.round(y, decimals)
 
 
+def _mixed_columns():
+    # one column tied, the other not: each takes its own route through the cell dots
+    x, y = next(_tied_columns())
+    for decimals in (1, 0):
+        yield np.round(x, decimals), y
+        yield x, np.round(y, decimals)
+
+
 _ORACLE_LAWS = [
     Uniform(0, 1),
     Exponential(1),
@@ -303,7 +323,7 @@ def test_rank_cell_means_match_former_implementation(h):
 
 
 def test_rho_t_matches_interp_oracle():
-    for x, y in _tied_columns():
+    for x, y in (*_tied_columns(), *_mixed_columns()):
         sample = PairedSample(x, y)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -382,7 +402,14 @@ def test_untied_sample_does_not_warn():
 
 # -- one sort per sample: identity, the ranked-view memo, sorted-order oracles --
 
-from qtcorr.estimation import _cov, _coupled_cov, _ranked, _sorted_cells, _sorted_runs  # noqa: E402
+from qtcorr.estimation import (  # noqa: E402
+    _cov,
+    _coupled_cov,
+    _ranked,
+    _ranked_memo,
+    _sorted_cells,
+    _sorted_runs,
+)
 
 _NAMED = [
     ("pearson", None),
@@ -438,7 +465,7 @@ def test_interleaved_samples_match_a_cleared_cache():
     a, b = (PairedSample(x, y) for x, y in list(_tied_columns())[1:])
     fresh = {}
     for sample in (a, b):
-        _ranked.cache_clear()
+        _ranked_memo.clear()
         fresh[sample] = _sweep(sample)
     assert [_sweep(s) for s in (a, b, a)] == [fresh[a], fresh[b], fresh[a]]
 
@@ -456,8 +483,8 @@ def test_cached_tied_sample_warns_on_every_call(call):
     sample = PairedSample(
         np.array([1.0, 2.0, 2.0, 3.0, 4.0]), np.array([1.0, 1.0, 3.0, 4.0, 5.0])
     )
+    views = []
     for _ in range(2):
-        hits = _ranked.cache_info().hits
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             call(sample)
@@ -466,7 +493,28 @@ def test_cached_tied_sample_warns_on_every_call(call):
             "ties in the y column resolved by average ranks",
         ]
         assert all(w.filename == __file__ for w in caught)
-    assert _ranked.cache_info().hits == hits + 1
+        views.append(_ranked(sample))
+    assert views[0] is views[1]
+
+
+def test_ranking_a_new_sample_first_releases_the_last_view(monkeypatch):
+    import weakref
+
+    a, b = (PairedSample(x, y) for x, y in list(_tied_columns())[1:])
+    _sweep(a)
+    held = [weakref.ref(v) for v in _ranked(a) if isinstance(v, np.ndarray)]
+    alive_at_sort = []
+    for name in ("sort", "argsort"):
+        original = getattr(np, name)
+
+        def probe(*args, original=original, **kwargs):
+            alive_at_sort.append(sum(ref() is not None for ref in held))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, probe)
+    _sweep(b)
+    assert alive_at_sort == [0, 0]  # b's two sorts, with none of a's arrays left
+    assert list(_ranked_memo) == [b]
 
 
 def _oracle_estimate_beta_h(sample, h):
@@ -478,7 +526,7 @@ def _oracle_estimate_beta_h(sample, h):
 
 @pytest.mark.parametrize("h", _ORACLE_LAWS, ids=lambda h: h.name)
 def test_sorted_order_estimators_match_scatter_oracle(h):
-    for x, y in _tied_columns():
+    for x, y in (*_tied_columns(), *_mixed_columns()):
         sample = PairedSample(x, y)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -548,49 +596,59 @@ def test_plug_ins_are_location_invariant():
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-def _alloc_pin_samples():
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=100_000)
-    y = x + rng.normal(size=100_000)
-    return {"clean": PairedSample(x, y), "tied": PairedSample(np.round(x, 1), np.round(y, 1))}
+def _pin_samples(n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n)
+    y = x + rng.normal(size=n)
+    tx, ty = np.round(x, 1), np.round(y, 1)
+    return {
+        "clean": PairedSample(x, y),
+        "tied": PairedSample(tx, ty),
+        "x_tied": PairedSample(tx, y),
+        "y_tied": PairedSample(x, ty),
+    }
 
 
-_ALLOC_PIN_SAMPLES = _alloc_pin_samples()
+def _traced_peak(sample, which, nu=None):
+    """Traced peak of a repeat call on the ranked sample above the memory in use before it,
+    in units of n floats; tracemalloc sees numpy's data buffers."""
+    import tracemalloc
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        estimate_named(sample, which, nu)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            estimate_named(sample, which, nu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return (peak - before) / (8 * sample.n)
+
+
+_ALLOC_PIN_SAMPLES = _pin_samples(100_000, 5)
 
 
 @pytest.mark.parametrize(
     "which, variant, pin",
     [
-        ("gini", "clean", 1.25),  # a few blocks of streamed cells: 1.0 at this n
+        *(
+            (which, variant, 1.25)  # a few blocks of streamed cells: 1.0 at this n
+            for which in ("gini", "or_based", "cre_based")
+            for variant in ("clean", "x_tied", "y_tied")
+        ),
         ("gini", "tied", 0.5),
-        ("or_based", "clean", 1.25),
         ("or_based", "tied", 0.5),
-        ("cre_based", "clean", 1.25),
         ("cre_based", "tied", 0.5),
-        ("rho_t", "clean", 0.5),
-        ("rho_t", "tied", 1.5),
+        *(("rho_t", variant, 0.5) for variant in _ALLOC_PIN_SAMPLES),  # dots over runs
         ("pearson", "clean", 0.5),  # centred block by block
         ("pearson", "tied", 0.5),
     ],
 )
 def test_repeat_estimate_allocates_at_most_its_pin(which, variant, pin):
-    # traced peak above the memory in use before a repeat call on the cached
-    # sample, in units of n floats; tracemalloc sees numpy's data buffers
-    import tracemalloc
-
-    sample = _ALLOC_PIN_SAMPLES[variant]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        estimate_named(sample, which)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            estimate_named(sample, which)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert (peak - before) / (8 * sample.n) <= pin
+    assert _traced_peak(_ALLOC_PIN_SAMPLES[variant], which) <= pin
 
 
 def test_ties_are_found_before_centring():
@@ -730,24 +788,9 @@ def test_monte_carlo_cells_share_one_grid_and_equal_the_per_column_means(monkeyp
 
 def test_repeat_cell_dots_allocate_a_fixed_number_of_blocks():
     # untied cells stream in blocks of 16,384: the peak is a few blocks at any n, here
-    # under half a sample of 4 * 10**5 floats; tied runs read QI at their edges only
-    import tracemalloc
-
-    rng = np.random.default_rng(6)
-    x = rng.normal(size=400_000)
-    y = x + rng.normal(size=400_000)
-    for sample in (PairedSample(x, y), PairedSample(np.round(x, 1), np.round(y, 1))):
+    # under half a sample of 4 * 10**5 floats; tied runs read QI at their edges only,
+    # also beside an untied partner column
+    for variant, sample in _pin_samples(400_000, 6).items():
         for which, nu in [("gini", None), ("or_based", None), ("cre_based", None),
                           ("egini", 0.5), ("egini", 3.0)]:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                estimate_named(sample, which, nu)
-                tracemalloc.start()
-                try:
-                    before = tracemalloc.get_traced_memory()[0]
-                    tracemalloc.reset_peak()
-                    estimate_named(sample, which, nu)
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-            assert (peak - before) / (8 * sample.n) <= 0.5, (which, nu)
+            assert _traced_peak(sample, which, nu) <= 0.5, (variant, which, nu)
