@@ -17,9 +17,9 @@ Sampling uses conditional inversion: U and W uniform, then V solves
 ``cond_cdf(U, V) = W`` through each family's exact ``cond_inverse``.  FGM
 and AMH invert a quadratic in V, taking the root in the form that avoids
 cancellation; Gumbel-Barnett solves a convex scalar equation in
--log(1 - V) by a few vectorized Newton steps.  The Gaussian family samples
-through the correlated-normal transform and the dependence extremes set
-V = U or V = 1 - U.
+-log(1 - V) by a few vectorized Newton steps.  The Gaussian family draws
+correlated normal scores Z, which a Normal margin takes as mu + sigma Z,
+never through Phi and back; the dependence extremes set V = U or V = 1 - U.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, SeedSequence, default_rng
 
-from .distributions import Distribution, Reflected, Uniform, ndtr, ndtri
+from .distributions import Distribution, Normal, Reflected, Uniform, ndtr, ndtri
 from .errors import DomainError, NumericalError, UnsupportedOperationError
 from .estimation import PairedSample
 from .measures import IntegrationConfig, g_covariance
@@ -110,6 +110,12 @@ class Copula:
         u = np.maximum(rng.random(n), _UNIFORM_FLOOR)
         w = np.maximum(rng.random(n), _UNIFORM_FLOOR)
         return u, np.clip(self.cond_inverse(u, w), _UNIFORM_FLOOR, _UNIFORM_CEIL)
+
+    def scores(self, n: int, rng: Generator):
+        """n dependent pairs increasing in (U, V), mapped to a law by ``score_quantile``."""
+        return self.sample(n, rng)
+
+    score_quantile = staticmethod(lambda law, s: law.quantile(s))
 
 
 @dataclass(frozen=True)
@@ -295,12 +301,18 @@ class GaussianCopula(Copula):
         e *= -0.5 / np.sin(phi) ** 2
         return np.where(finite, np.exp(e, out=e) @ weights, 0.0)
 
-    def sample(self, n, rng):
+    def scores(self, n, rng):  # normal scores Z1, Z2: U = Phi(Z1), V = Phi(Z2)
         if n < 1:
             raise DomainError("sample size must be at least 1")
         z1 = rng.standard_normal(n)
-        z2 = self.rho * z1 + math.sqrt(1.0 - self.rho**2) * rng.standard_normal(n)
-        return ndtr(z1), ndtr(z2)
+        return z1, self.rho * z1 + math.sqrt(1.0 - self.rho**2) * rng.standard_normal(n)
+
+    def sample(self, n, rng):
+        return tuple(map(ndtr, self.scores(n, rng)))
+
+    @staticmethod
+    def score_quantile(law, z):
+        return law.mu + law.sigma * z if type(law) is Normal else law.quantile(ndtr(z))
 
 
 @dataclass(frozen=True)
@@ -368,9 +380,9 @@ class BivariateModel:
 
     def sample(self, n: int, seed: int) -> PairedSample:
         """n paired observations; deterministic for a given seed."""
-        rng = child_rng(seed, "bivariate.sample")
-        u, v = self.copula.sample(n, rng)
-        return PairedSample(self.margin_x.quantile(u), self.margin_y.quantile(v))
+        s, t = self.copula.scores(n, child_rng(seed, "bivariate.sample"))
+        image = self.copula.score_quantile
+        return PairedSample(image(self.margin_x, s), image(self.margin_y, t))
 
 
 def reflect_x(model: BivariateModel) -> BivariateModel:

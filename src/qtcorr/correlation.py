@@ -160,18 +160,17 @@ class _Evaluator:
 
 
 class _MonteCarlo(_Evaluator):
-    """Estimates from one seeded draw of (U, V): margins enter pointwise,
-    transform laws by rank-cell means.  X, Y and the cells are kept read-only
-    for later indices; G^{-1}(U) and F^{-1}(V) are not kept.
+    """Estimates from one seeded draw of the copula's scores u, v (U and V, or normal
+    scores): margins enter pointwise by ``score_quantile``, transform laws by rank-cell
+    means.  X, Y and the cells are kept read-only; G^{-1}(U) and F^{-1}(V) are not kept.
     """
 
     def __init__(self, model: BivariateModel, cfg: IntegrationConfig):
         super().__init__(model, cfg)
-        self.floor = 0.0
+        self.floor, self.score_quantile = 0.0, model.copula.score_quantile
         rng = child_rng(cfg.seed, "correlation.beta_h")  # the tag fixes every MC value
-        self.u, self.v = map(_read_only, model.copula.sample(cfg.mc_samples, rng))
-        self.x = _read_only(model.margin_x.quantile(self.u))
-        self.y = _read_only(model.margin_y.quantile(self.v))
+        self.u, self.v = map(_read_only, model.copula.scores(cfg.mc_samples, rng))
+        self.x, self.y = map(_read_only, map(self.score_quantile, self.margins, (self.u, self.v)))
         self._cells: dict[Distribution, tuple[np.ndarray, ...]] = {}
 
     def cells(self, h: Distribution) -> tuple[np.ndarray, ...]:
@@ -190,7 +189,7 @@ class _MonteCarlo(_Evaluator):
             return self.cells(a.h)[axis]
         if a == self.margins[axis]:
             return (self.x, self.y)[axis]
-        return a.quantile((self.u, self.v)[axis])
+        return self.score_quantile(a, (self.u, self.v)[axis])
 
     def _cov(self, a, i: int, b, j: int) -> float:
         return _cov(self._image(a, i), self._image(b, j))

@@ -7,11 +7,11 @@ exactly into per-component shares,
 
     C(T, Y) = sum_i beta_G(X_i, T) * C(X_i, Y),
 
-with every share coefficient in [0, 1].  Since T has no closed-form law
-in general, its distribution is realized as a seeded Monte Carlo
-convolution sample; coefficients are the rank plug-in estimators on that
-sample, component measures come from quadrature, and standard errors are
-batch means (10 batches).
+with every share coefficient in [0, 1].  T has no closed-form law in
+general, so a seeded Monte Carlo convolution sample stands for it: the
+coefficients are rank plug-ins on it, system measures integrate its empirical
+law (Var(T), of two equal-size step laws, is one dot of the sorted values),
+component measures come from quadrature and standard errors are 10 batch means.
 """
 
 from __future__ import annotations

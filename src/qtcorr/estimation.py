@@ -193,9 +193,11 @@ def _cell_dots(h: Distribution, n: int, *columns) -> list:
     over run r's cells and c the mean over all n cells.
 
     The untied columns share one streamed pass of the cells; the tied ones read QI at the
-    union of their run edges only.
+    union of their run edges only, joined by the untied ones when H is Empirical.
     """
     dots = [0.0] * len(columns)
+    if isinstance(h, Empirical) and any(b is not None for b, _ in columns):
+        columns = [(np.arange(n + 1) if b is None else b, w) for b, w in columns]
     untied = [i for i, (b, _) in enumerate(columns) if b is None]
     tied = [i for i, (b, _) in enumerate(columns) if b is not None]
     if untied:

@@ -100,7 +100,9 @@ def _is_degenerate(d: Distribution) -> bool:
 
 
 def _empirical_pair_integral(f: Empirical, g: Empirical) -> float:
-    # Exact integral of the product of two step quantile functions.
+    # Exact integral of the product of two step quantile functions; one dot on a shared grid.
+    if f.n == g.n:
+        return float(np.mean(f.values * g.values))
     edges = np.concatenate([[0.0, 1.0], np.arange(1.0, f.n) / f.n, np.arange(1.0, g.n) / g.n])
     edges.sort()
     edges = edges[np.diff(edges, prepend=-1.0) > 0.0]  # unique; np.union1d would import numpy.ma

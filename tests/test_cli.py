@@ -100,9 +100,9 @@ def test_corr_all_monte_carlo_draws_once(capsys, monkeypatch):
     from qtcorr.correlation import _evaluator
 
     draws = []
-    sample = GaussianCopula.sample
+    scores = GaussianCopula.scores  # the Monte Carlo draw: normal scores, never Phi of them
     monkeypatch.setattr(
-        GaussianCopula, "sample", lambda self, n, rng: draws.append(n) or sample(self, n, rng)
+        GaussianCopula, "scores", lambda self, n, rng: draws.append(n) or scores(self, n, rng)
     )
     _evaluator.cache_clear()
     code, out, _ = run_cli(

@@ -443,9 +443,9 @@ def test_monte_carlo_indices_of_a_model_draw_once(monkeypatch, model):
     cfg = IntegrationConfig(method="monte_carlo", mc_samples=5_000, seed=3)
     family = type(model.copula)
     draws = []
-    sample = family.sample
+    scores = family.scores  # the one draw of every model; a Gaussian's never calls sample
     monkeypatch.setattr(
-        family, "sample", lambda self, n, rng: draws.append(n) or sample(self, n, rng)
+        family, "scores", lambda self, n, rng: draws.append(n) or scores(self, n, rng)
     )
     _evaluator.cache_clear()
     _all_indices(model, named_transform("gini"), cfg)
@@ -489,6 +489,47 @@ def test_monte_carlo_sample_is_read_only():
         with pytest.raises(ValueError):
             arr[0] = 0.0
     assert _all_indices(model, spec, cfg) == before
+
+
+def test_gaussian_monte_carlo_keeps_normal_margins_in_normal_scores(monkeypatch):
+    import qtcorr.bivariate as bivariate
+    import qtcorr.distributions as distributions
+
+    def refuse(*args):
+        raise AssertionError("a Normal margin went through Phi and back")
+
+    for owner, name in ((distributions, "ndtri"), (bivariate, "ndtri"), (Normal, "quantile")):
+        monkeypatch.setattr(owner, name, refuse)
+    model = BivariateModel(GaussianCopula(0.6), Normal(0.5, 2.0), Normal(-1.0, 0.5))
+    cfg = IntegrationConfig(method="monte_carlo", mc_samples=20_000, seed=1)
+    _evaluator.cache_clear()
+    assert all(np.isfinite(_all_indices(model, named_transform("cre_based"), cfg)))
+    ev = _evaluator(model, cfg)
+    assert np.array_equal(ev.x, 0.5 + 2.0 * ev.u) and np.array_equal(ev.y, -1.0 + 0.5 * ev.v)
+    # a paired sample takes the same path
+    z, w = model.copula.scores(1000, bivariate.child_rng(3, "bivariate.sample"))
+    sample = model.sample(1000, seed=3)
+    assert np.array_equal(sample.x, 0.5 + 2.0 * z) and np.array_equal(sample.y, -1.0 + 0.5 * w)
+    _evaluator.cache_clear()
+
+
+def test_gaussian_monte_carlo_scores_match_the_phi_round_trip(monkeypatch):
+    from qtcorr.distributions import ndtr
+
+    model = BivariateModel(GaussianCopula(0.6), Normal(0.5, 2.0), Logistic(0.0, 1.0))
+    cfg = IntegrationConfig(method="monte_carlo", mc_samples=20_000, seed=1)
+    spec = named_transform("cre_based")
+    _evaluator.cache_clear()
+    scored = _all_indices(model, spec, cfg)
+    scores = GaussianCopula.scores  # the reference draws uniforms Phi(z) and maps them back
+    monkeypatch.setattr(
+        GaussianCopula, "scores", lambda self, n, rng: tuple(map(ndtr, scores(self, n, rng)))
+    )
+    monkeypatch.setattr(GaussianCopula, "score_quantile", staticmethod(Copula.score_quantile))
+    _evaluator.cache_clear()
+    round_trip = _all_indices(model, spec, cfg)
+    _evaluator.cache_clear()
+    assert scored == pytest.approx(round_trip, rel=0.0, abs=1e-12)
 
 
 ORACLE_MODELS = [
