@@ -25,7 +25,12 @@ Every index is a ratio of dependence covariances Cov(a(U), b(V)) and
 coupled-quantile covariances Cov(X, H^{-1} F(X)).  One memoised evaluator
 per (model, config), the last one retained, computes each once: by
 quadrature (every copula family), or, when the config asks for
-``method="monte_carlo"``, from one seeded sample drawn and ranked once.
+``method="monte_carlo"``, from one seeded sample drawn and ranked once.  A
+Monte Carlo value is the plug-in estimator of :mod:`qtcorr.estimation` on
+that sample: with strictly increasing margins, each index equals the
+estimator on the pairs (x, y), or (y, x) for the reversed index; rho_t does
+when the margins differ, and is pearson when they are equal, as under
+quadrature.
 Quadrature values also pass through the process-wide memo of
 :mod:`qtcorr.measures`, keyed on (copula, weight laws, abs_tol, tail_eps).
 """
@@ -35,8 +40,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .bivariate import FGM, BivariateModel, Copula, child_rng
 from .distributions import (
@@ -48,7 +51,7 @@ from .distributions import (
     Uniform,
 )
 from .errors import DegenerateError, DomainError
-from .estimation import _cov, _sorted_cells, _sorted_runs, _unsorted
+from .estimation import _cell_dots, _dot, _dot_at_average_ranks, _run_sums, _sorted_runs
 from .measures import DEFAULT_CONFIG, IntegrationConfig, _once, g_covariance
 
 
@@ -104,11 +107,6 @@ def dependence_integral(
     return _once(type(copula).dependence_integral, (copula, weight_u, weight_v), cfg)
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 def _denominator(parts: list[float], floor: float) -> float:
     """One covariance, or the geometric mean of two, once each exceeds the floor."""
     if not all(p > floor for p in parts):
@@ -135,14 +133,14 @@ class _Evaluator:
     def cov(self, a, i: int, b, j: int) -> float:
         key = self._key(a, i, b, j)
         if key not in self._memo:
-            self._memo[key] = self._cov(*key)
+            self._memo[key] = self._compute(*key)
         return self._memo[key]
 
     def _key(self, *key) -> tuple:
         # a spec integrates as its law, so the two share one value
         return tuple(k.h if isinstance(k, CorrelationSpec) else k for k in key)
 
-    def _cov(self, a, i: int, b, j: int) -> float:  # by quadrature
+    def _compute(self, a, i: int, b, j: int) -> float:  # by quadrature
         if i == j:
             return g_covariance(a, b, self.cfg)
         return dependence_integral(self.model.copula, a, b, self.cfg)
@@ -160,39 +158,47 @@ class _Evaluator:
 
 
 class _MonteCarlo(_Evaluator):
-    """Estimates from one seeded draw of the copula's scores u, v (U and V, or normal
-    scores): margins enter pointwise by ``score_quantile``, transform laws by rank-cell
-    means.  X, Y and the cells are kept read-only; G^{-1}(U) and F^{-1}(V) are not kept.
+    """The rank plug-in estimators on one seeded draw of the copula's scores u, v (U and V,
+    or normal scores), with X and Y mapped from them by ``score_quantile``.
+
+    Ranks are the scores', so a step margin that ties x where u is distinct still reads H at
+    u's ranks.  X and Y are centred once and kept read-only in the order of u and of v, and
+    one ``_cell_dots`` pass per transform law reads all four of its rank covariances.
     """
 
     def __init__(self, model: BivariateModel, cfg: IntegrationConfig):
         super().__init__(model, cfg)
-        self.floor, self.score_quantile = 0.0, model.copula.score_quantile
+        self.floor = 0.0
         rng = child_rng(cfg.seed, "correlation.beta_h")  # the tag fixes every MC value
-        self.u, self.v = map(_read_only, model.copula.scores(cfg.mc_samples, rng))
-        self.x, self.y = map(_read_only, map(self.score_quantile, self.margins, (self.u, self.v)))
-        self._cells: dict[Distribution, tuple[np.ndarray, ...]] = {}
+        scores = model.copula.scores(cfg.mc_samples, rng)
+        self.x, self.y = map(model.copula.score_quantile, self.margins, scores)
+        centred = self.x - self.x.mean(), self.y - self.y.mean()
+        # per score: its tied-run bounds, then x and y in its order
+        self.by_score = [(b, *(c[o] for c in centred)) for o, _, b in map(_sorted_runs, scores)]
+        for column in (self.x, self.y, *self.by_score[0][1:], *self.by_score[1][1:]):
+            column.flags.writeable = False
+        self._dots: dict[Distribution, list[float]] = {}
 
-    def cells(self, h: Distribution) -> tuple[np.ndarray, ...]:
-        """H^{-1} rank-cell means at the ranks of u and of v."""
-        if h not in self._cells:  # one H grid for both columns
-            (ou, _, bu), (ov, _, bv) = _sorted_runs(self.u), _sorted_runs(self.v)
-            cells = _sorted_cells(h, self.u.size, bu, bv)
-            self._cells[h] = tuple(_read_only(_unsorted(o, c)) for o, c in zip((ou, ov), cells))
-        return self._cells[h]
+    def cov(self, a, i: int, b, j: int) -> float:
+        if isinstance(a, CorrelationSpec):  # a covariance is symmetric: the spec goes second
+            a, i, b, j = b, j, a, i
+        if not isinstance(b, CorrelationSpec):  # two margins
+            return super().cov(a, i, b, j)
+        if b.h not in self._dots:  # (x, y) at the ranks of u, then of v
+            columns = [(s[0], _run_sums(c, s[0])) for s in self.by_score for c in s[1:]]
+            self._dots[b.h] = _cell_dots(b.h, self.x.size, *columns)
+        return self._dots[b.h][2 * j + i] / (self.x.size - 1)
 
-    def _key(self, *key) -> tuple:
-        return key  # a spec's law enters by ranks, the same law as a margin pointwise
-
-    def _image(self, a, axis: int) -> np.ndarray:
-        if isinstance(a, CorrelationSpec):
-            return self.cells(a.h)[axis]
-        if a == self.margins[axis]:
-            return (self.x, self.y)[axis]
-        return self.score_quantile(a, (self.u, self.v)[axis])
-
-    def _cov(self, a, i: int, b, j: int) -> float:
-        return _cov(self._image(a, i), self._image(b, j))
+    def _compute(self, a, i: int, b, j: int) -> float:  # two margins
+        bounds, ordered = self.by_score[i][0], self.by_score[i][1 + i]  # column i, sorted
+        if i != j:
+            dot = _dot(*self.by_score[0][1:])  # Cov(X, Y)
+        elif a == b:
+            dot = _dot(ordered, ordered)
+        else:  # rho_t's Cov(X, G^{-1}F(X)): the sorted column against the other one sorted
+            other = self.by_score[1 - i][2 - i]
+            dot = _dot_at_average_ranks(bounds, _run_sums(ordered, bounds), other)
+        return dot / (self.x.size - 1)
 
 
 @functools.lru_cache(maxsize=1)  # keyed on (model, cfg); holds the last model's

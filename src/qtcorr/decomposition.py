@@ -8,10 +8,12 @@ exactly into per-component shares,
     C(T, Y) = sum_i beta_G(X_i, T) * C(X_i, Y),
 
 with every share coefficient in [0, 1].  T has no closed-form law in
-general, so a seeded Monte Carlo convolution sample stands for it: the
-coefficients are rank plug-ins on it, system measures integrate its empirical
-law (Var(T), of two equal-size step laws, is one dot of the sorted values),
-component measures come from quadrature and standard errors are 10 batch means.
+general, so a seeded Monte Carlo convolution sample stands for it: each
+coefficient is the plug-in estimator of beta_G on the pairs (x_i, t), all
+numerators from one sort of t and one pass of G's rank cells, system measures
+integrate its empirical law (Var(T), of two equal-size step laws, is one dot of
+the sorted values), component measures come from quadrature and standard
+errors are 10 batch means.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .bivariate import child_rng
 from .distributions import Distribution, Empirical
 from .errors import DomainError
-from .estimation import _cov, _coupled_cov, _rank_cell_means
+from .estimation import _cell_dots, _coupled_cov, _run_sums, _sorted_runs
 from .measures import (
     DEFAULT_CONFIG,
     IntegrationConfig,
@@ -102,17 +104,19 @@ def decompose(
 
     xs = _component_samples(system, mc_samples, seed)
     t = xs.sum(axis=0)
-    gt = _rank_cell_means(g, t)
+    order, _, bounds = _sorted_runs(t)
+    # each component and t in the order of t, centred: one pass of G's cells reads them all
+    columns = [(bounds, _run_sums(c[order] - c.mean(), bounds)) for c in (*xs, t)]
+    *nums, mc_estimate = (d / (mc_samples - 1) for d in _cell_dots(g, mc_samples, *columns))
     betas = []
-    for i in range(system.n):
+    for i, num in enumerate(nums):
         den = _coupled_cov(g, xs[i])
         if not den > 0.0:
             raise DomainError(f"component {i} has a degenerate lifetime law")
-        betas.append(_cov(xs[i], gt) / den)
+        betas.append(num / den)
     total = float(np.dot(betas, c_terms))
 
-    # Independent plug-in estimate of C(T, Y) with batch-means errors.
-    mc_estimate = _cov(t, gt)
+    # batch-means error of mc_estimate, the independent plug-in estimate of C(T, Y)
     batch = np.array_split(t, _N_BATCHES)
     est_b = [_coupled_cov(g, tb) for tb in batch]
     mc_se = float(np.std(est_b, ddof=1) / math.sqrt(_N_BATCHES))

@@ -20,8 +20,8 @@ the run's mean cell, n * dQI / size, less the mean over all cells.  Each
 column takes its own route, also when only one of the two is tied: the
 tied columns read QI at their run edges only, and the untied ones share
 one stream of the cells in blocks of 16,384; no estimator builds the
-n-cell grid.  The Monte Carlo indices and the standby decomposition use
-the same rank-cell means.
+n-cell grid.  The Monte Carlo indices and the standby decomposition's
+shares are these estimators run on their drawn samples.
 
 Ties have zero probability under continuous laws but occur in real data:
 a tied run shares one value (the mean of its cells), and each plug-in
@@ -100,29 +100,9 @@ def _sorted_runs(column: np.ndarray):
     return order, ordered, _runs(ordered)
 
 
-def _pooled(sorted_values: np.ndarray, bounds: np.ndarray | None) -> np.ndarray:
-    """Sorted-order values with each tied run replaced by its mean."""
-    if bounds is None:
-        return sorted_values
-    sizes = np.diff(bounds)
-    return np.repeat(_run_sums(sorted_values, bounds) / sizes, sizes)
-
-
 def _run_sums(values: np.ndarray, bounds: np.ndarray | None) -> np.ndarray:
     """Sorted-order values summed over each tied run (the values themselves without ties)."""
     return values if bounds is None else np.add.reduceat(values, bounds[:-1])
-
-
-def _unsorted(order: np.ndarray, sorted_values: np.ndarray) -> np.ndarray:
-    out = np.empty(order.size)
-    out[order] = sorted_values
-    return out
-
-
-def average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks of a nonempty array; each tied run gets its mean rank."""
-    order, _, bounds = _sorted_runs(values)
-    return _unsorted(order, _pooled(np.arange(1.0, values.size + 1.0), bounds))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -131,25 +111,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     m = a.size - a.size % 128
     blocks = np.matmul(a[:m].reshape(-1, 1, 128), b[:m].reshape(-1, 128, 1))  # row-wise dots
     return float(np.sum(blocks) + np.dot(a[m:], b[m:]))
-
-
-def _cov(a: np.ndarray, b: np.ndarray) -> float:
-    return _dot(a - a.mean(), b - b.mean()) / (a.size - 1)
-
-
-def _sorted_cells(h: Distribution, n: int, *bounds_per_column) -> list:
-    """H^{-1} rank-cell means in sorted order, one array per column's tied-run bounds.
-
-    Position k gets the mean over the k-th of n equal cells; a tied run, its cells' mean.
-    """
-    cells = h.cell_means(n)
-    return [_pooled(cells, b) for b in bounds_per_column]
-
-
-def _rank_cell_means(h: Distribution, column: np.ndarray) -> np.ndarray:
-    """H^{-1} rank-cell means at the plug-in ranks of a column, in data order."""
-    order, _, bounds = _sorted_runs(column)
-    return _unsorted(order, _sorted_cells(h, column.size, bounds)[0])
 
 
 def _cell_blocks(h: Distribution, n: int, edges: np.ndarray | None = None):

@@ -352,7 +352,9 @@ print(*(f"{c:.10g}" for c in cells[[0, 1, 499, 998, 999]]), f"{Weibull(1.0, 0.05
 def test_qtcorr_runs_without_scipy():
     # The expected text is what the commands printed when the laws took their special
     # functions from scipy.special, except the abs_diff of fgm-rhot's four normal/normal
-    # rows: 1.13816208e-07 then, 1.138162079e-07 now, the computed value one ulp apart.
+    # rows: 1.13816208e-07 then, 1.138162079e-07 now, the computed value one ulp apart; and
+    # the Monte Carlo rho_t, 0.5996755092 when it read G^{-1}(U) pointwise, 0.5997329686
+    # as the plug-in on the sorted columns.
     done = _run_python(_WITHOUT_SCIPY)
     assert done.returncode == 0, done.stderr
     want = (Path(__file__).parent / "without_scipy.txt").read_text()

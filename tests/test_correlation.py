@@ -388,6 +388,24 @@ def test_rho_t_dominance_on_full_margin_grids():
         assert abs(pearson(m)) <= abs(rho_t(m)) + TOL
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        BivariateModel(GumbelBarnett(1.0), Weibull(1, 2), Weibull(1, 0.5)),
+        BivariateModel(FGM(1.0), Exponential(1), Normal(0, 1)),
+        BivariateModel(Independence(), Exponential(1), Weibull(1, 0.5)),
+        BivariateModel(AMH(0.2), Pareto(0.3), Exponential(1)),
+    ],
+)
+def test_monte_carlo_rho_t_dominates_pearson_on_every_draw(model):
+    # the plug-in's coupled covariance is a dot of the sorted columns, so Cauchy-Schwarz
+    # keeps |rho_t| >= |pearson| on each sample, not only in the limit
+    for n in (1000, 2000):
+        for seed in range(40):
+            cfg = IntegrationConfig(method="monte_carlo", mc_samples=n, seed=seed)
+            assert abs(rho_t(model, cfg)) >= abs(pearson(model, cfg)) * (1 - 4 * 2.0**-52)
+
+
 # -- error paths -----------------------------------------------------------------
 
 
@@ -483,8 +501,8 @@ def test_monte_carlo_sample_is_read_only():
     model = BivariateModel(FGM(0.5), Exponential(1), Normal(0, 1))
     spec = named_transform("cre_based")
     before = _all_indices(model, spec, cfg)
-    sample = _evaluator(model, cfg)
-    for arr in (sample.u, sample.v, sample.x, sample.y, *sample.cells(spec.h)):
+    ev = _evaluator(model, cfg)
+    for arr in (ev.x, ev.y, *ev.by_score[0][1:], *ev.by_score[1][1:]):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -505,7 +523,8 @@ def test_gaussian_monte_carlo_keeps_normal_margins_in_normal_scores(monkeypatch)
     _evaluator.cache_clear()
     assert all(np.isfinite(_all_indices(model, named_transform("cre_based"), cfg)))
     ev = _evaluator(model, cfg)
-    assert np.array_equal(ev.x, 0.5 + 2.0 * ev.u) and np.array_equal(ev.y, -1.0 + 0.5 * ev.v)
+    z, w = model.copula.scores(20_000, bivariate.child_rng(1, "correlation.beta_h"))
+    assert np.array_equal(ev.x, 0.5 + 2.0 * z) and np.array_equal(ev.y, -1.0 + 0.5 * w)
     # a paired sample takes the same path
     z, w = model.copula.scores(1000, bivariate.child_rng(3, "bivariate.sample"))
     sample = model.sample(1000, seed=3)

@@ -27,8 +27,6 @@ from qtcorr.distributions import (
 from qtcorr.errors import DegenerateError, DomainError, UnsupportedOperationError
 from qtcorr.estimation import (
     PairedSample,
-    _rank_cell_means,
-    average_ranks,
     estimate_beta_h,
     estimate_named,
     load_pairs_csv,
@@ -79,19 +77,6 @@ def test_ties_warn_and_average():
     y = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
     with pytest.warns(UserWarning, match="ties"):
         estimate_beta_h(PairedSample(x, y), named_transform("gini").h)
-
-
-@pytest.mark.parametrize("rounding", [None, 1, 0])
-def test_average_ranks_match_scipy(rounding):
-    from scipy.stats import rankdata
-
-    values = np.random.default_rng(4).normal(size=5000)
-    if rounding is not None:
-        values = np.round(values, rounding)  # long tied runs
-    assert np.array_equal(average_ranks(values), rankdata(values, method="average"))
-    for small in ([2.0], [1.0, 1.0, 1.0], [3.0, -1.0, 3.0, 0.0]):
-        small = np.array(small)
-        assert np.array_equal(average_ranks(small), rankdata(small, method="average"))
 
 
 def test_degenerate_sample_errors():
@@ -314,14 +299,6 @@ _ORACLE_LAWS = [
 ]
 
 
-@pytest.mark.parametrize("h", _ORACLE_LAWS, ids=lambda h: h.name)
-def test_rank_cell_means_match_former_implementation(h):
-    for x, y in _tied_columns():
-        for column in (x, y):
-            got = _rank_cell_means(h, column)
-            np.testing.assert_allclose(got, _oracle_rank_cell_means(h, column), rtol=1e-14)
-
-
 def test_rho_t_matches_interp_oracle():
     for x, y in (*_tied_columns(), *_mixed_columns()):
         sample = PairedSample(x, y)
@@ -329,16 +306,6 @@ def test_rho_t_matches_interp_oracle():
             warnings.simplefilter("ignore")
             got = estimate_named(sample, "rho_t")
         assert got == pytest.approx(_oracle_rho_t_hat(sample), rel=1e-14, abs=0.0)
-
-
-def test_rank_cell_means_equal_former_monte_carlo_helper_bit_for_bit():
-    for copula in (FGM(1.0), AMH(-1.0), GumbelBarnett(1.0), GaussianCopula(0.5)):
-        u, v = copula.sample(50_000, np.random.default_rng(5))
-        for h in (Exponential(1), Pareto(0.5), Logistic(0, 1)):
-            for column in (u, v):
-                assert np.array_equal(
-                    _rank_cell_means(h, column), _oracle_rank_stratum_values(h, column)
-                )
 
 
 def _counting(monkeypatch, calls, name):
@@ -402,14 +369,7 @@ def test_untied_sample_does_not_warn():
 
 # -- one sort per sample: identity, the ranked-view memo, sorted-order oracles --
 
-from qtcorr.estimation import (  # noqa: E402
-    _cov,
-    _coupled_cov,
-    _ranked,
-    _ranked_memo,
-    _sorted_cells,
-    _sorted_runs,
-)
+from qtcorr.estimation import _coupled_cov, _ranked, _ranked_memo  # noqa: E402
 
 _NAMED = [
     ("pearson", None),
@@ -547,12 +507,14 @@ def test_pearson_matches_former_std_ratio():
 def test_sorted_order_covariance_keeps_full_precision():
     # long same-sign stretches: a running-sum dot product is off by about 1e-14 here
     x = np.round(np.random.default_rng(0).standard_exponential(200_000) ** 2, 1)
-    _, xs, bounds = _sorted_runs(x)
+    xs = np.sort(x)
+    sizes = np.diff(np.append(np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]]), x.size))
     for h in (Exponential(1), Logistic(0, 1), Uniform(0, 1)):
-        (cells,) = _sorted_cells(h, x.size, bounds)
+        runs = np.split(h.cell_means(x.size), np.cumsum(sizes)[:-1])
+        cells = np.repeat([math.fsum(r) / r.size for r in runs], sizes)  # pooled grid
         mx, mc = math.fsum(xs) / x.size, math.fsum(cells) / x.size
         want = math.fsum((xs - mx) * (cells - mc)) / (x.size - 1)
-        assert _cov(xs, cells) == pytest.approx(want, rel=2e-15, abs=0.0)
+        assert _coupled_cov(h, x) == pytest.approx(want, rel=2e-15, abs=0.0)
 
 
 # -- centred once: the blocked dot kernel, invariances, allocation pins --------
@@ -663,9 +625,7 @@ def test_ties_are_found_before_centring():
 
 # -- rank-cell means without the grid: run edges and streamed cells -------------
 
-from qtcorr.correlation import _MonteCarlo  # noqa: E402
 from qtcorr.estimation import _cell_blocks, _cell_dots, _run_sums  # noqa: E402
-from qtcorr.measures import IntegrationConfig  # noqa: E402
 
 _CELL_SIZES = [3, 4, 5, 1000, 10**5 + 1]
 
@@ -770,24 +730,6 @@ def test_an_empirical_law_is_summed_at_most_twice_per_estimate(monkeypatch, vari
             assert len(calls) - before <= 2
 
 
-@pytest.mark.parametrize("h", [Exponential(1), Pareto(0.5), Empirical(np.arange(1.0, 50.0))])
-def test_monte_carlo_cells_share_one_grid_and_equal_the_per_column_means(monkeypatch, h):
-    model = BivariateModel(FGM(1.0), Exponential(1), Logistic(0, 1))
-    mc = _MonteCarlo(model, IntegrationConfig(method="monte_carlo", mc_samples=20_000, seed=3))
-    grids = []
-    original = type(h).cell_means
-
-    def counted(self, n):
-        grids.append(n)
-        return original(self, n)
-
-    monkeypatch.setattr(type(h), "cell_means", counted)
-    cells = mc.cells(h)
-    assert grids == [20_000]
-    for got, column in zip(cells, (mc.u, mc.v)):
-        assert np.array_equal(got, _rank_cell_means(h, column))
-
-
 def test_repeat_cell_dots_allocate_a_fixed_number_of_blocks():
     # untied cells stream in blocks of 16,384: the peak is a few blocks at any n, here
     # under half a sample of 4 * 10**5 floats; tied runs read QI at their edges only,
@@ -796,3 +738,134 @@ def test_repeat_cell_dots_allocate_a_fixed_number_of_blocks():
         for which, nu in [("gini", None), ("or_based", None), ("cre_based", None),
                           ("egini", 0.5), ("egini", 3.0)]:
             assert _traced_peak(sample, which, nu) <= 0.5, (variant, which, nu)
+
+
+# -- Monte Carlo values are the estimators on the drawn sample ------------------
+
+from qtcorr.bivariate import child_rng  # noqa: E402
+from qtcorr.correlation import (  # noqa: E402
+    CorrelationSpec,
+    _evaluator,
+    beta_h_reversed,
+    pearson,
+    rho_t,
+    symmetric_nu,
+    symmetric_nu_bar,
+    symmetric_tau,
+)
+from qtcorr.decomposition import StandbySystem, _component_samples, decompose  # noqa: E402
+from qtcorr.distributions import Distribution, Weibull  # noqa: E402
+from qtcorr.measures import IntegrationConfig  # noqa: E402
+
+_MC = IntegrationConfig(method="monte_carlo", mc_samples=20_000, seed=3)
+
+
+def _mc_indices(model, spec):
+    """The seven indices of a model under _MC, read from one evaluator."""
+    directed = [f(model, spec, _MC) for f in (beta_h, beta_h_reversed)]
+    paired = [f(model, _MC) for f in (pearson, rho_t)]
+    symmetric = [f(model, spec, _MC) for f in (symmetric_tau, symmetric_nu, symmetric_nu_bar)]
+    return directed + paired + symmetric
+
+
+def _count_grid_reads(monkeypatch, estimation):
+    """Refuse the n-cell grid and record (law, n) for every stream of cells."""
+
+    def refuse(self, n):
+        raise AssertionError("a Monte Carlo path built the n-cell grid")
+
+    passes, blocks = [], estimation._cell_blocks
+    monkeypatch.setattr(Distribution, "cell_means", refuse)
+    monkeypatch.setattr(
+        estimation, "_cell_blocks", lambda h, n, *a: passes.append((h, n)) or blocks(h, n, *a)
+    )
+    return passes
+
+
+_EQUIVALENCE_MODELS = [
+    BivariateModel(FGM(1.0), Exponential(1), Logistic(0, 1)),
+    BivariateModel(GaussianCopula(0.6), Normal(0.5, 2.0), Logistic(0, 1)),
+    BivariateModel(GumbelBarnett(1.0), Weibull(1, 2), Weibull(1, 0.5)),
+    BivariateModel(AMH(-1.0), Pareto(0.3), Exponential(1)),
+]
+
+
+@pytest.mark.parametrize("model", _EQUIVALENCE_MODELS, ids=lambda m: type(m.copula).__name__)
+@pytest.mark.parametrize("h", [Exponential(1), Pareto(0.5), _ORACLE_LAWS[-1]], ids=lambda h: h.name)
+def test_monte_carlo_indices_are_the_estimators_on_their_draw(model, h):
+    # strictly increasing margins rank x and y as their scores: one set of plug-ins
+    _evaluator.cache_clear()
+    b_xy, b_yx, r, t = _mc_indices(model, CorrelationSpec(h))[:4]
+    ev = _evaluator(model, _MC)
+    xy, yx = PairedSample(ev.x, ev.y), PairedSample(ev.y, ev.x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # untied: no column pools a run
+        want = [
+            estimate_beta_h(xy, h),
+            estimate_beta_h(yx, h),
+            estimate_named(xy, "pearson"),
+            estimate_named(xy, "rho_t"),
+        ]
+    assert [b_xy, b_yx, r, t] == pytest.approx(want, rel=0.0, abs=1e-15)
+
+
+def test_equal_margins_keep_rho_t_equal_to_pearson():
+    # C(F, F) is Var(X), as under quadrature: the same covariance, not a second plug-in
+    model = BivariateModel(AMH(-1.0), Logistic(0, 1), Logistic(0, 1))
+    _evaluator.cache_clear()
+    assert rho_t(model, _MC) == pearson(model, _MC)
+
+
+@pytest.mark.parametrize("h", [Exponential(1), Pareto(0.5), Logistic(0, 1)], ids=lambda h: h.name)
+def test_a_step_margin_is_ranked_by_its_scores(h):
+    # x ties where u does not: H is read at u's ranks, never at x's pooled ones
+    f = Empirical(np.arange(1.0, 21.0))
+    model = BivariateModel(FGM(1.0), f, Exponential(1))
+    spec = CorrelationSpec(h)
+    _evaluator.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [beta_h(model, spec, _MC), beta_h_reversed(model, spec, _MC)]
+    u, v = model.copula.scores(_MC.mc_samples, child_rng(_MC.seed, "correlation.beta_h"))
+    ev = _evaluator(model, _MC)
+    assert np.array_equal(ev.x, f.quantile(u)) and np.unique(ev.x).size == 20
+    hu, hv = _oracle_rank_stratum_values(h, u), _oracle_rank_stratum_values(h, v)
+    want = [
+        np.cov(ev.x, hv)[0, 1] / np.cov(ev.x, hu)[0, 1],
+        np.cov(hu, ev.y)[0, 1] / np.cov(ev.y, hv)[0, 1],
+    ]
+    assert got == pytest.approx(want, rel=0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("g", [Exponential(1), Pareto(0.5), _ORACLE_LAWS[-1]], ids=lambda g: g.name)
+def test_decomposition_shares_are_the_estimators_on_the_system_sample(g):
+    system = StandbySystem((Exponential(1), Weibull(1, 2), Exponential(0.5)))
+    result = decompose(system, g, 20_000, seed=4)
+    xs = _component_samples(system, 20_000, 4)
+    t = xs.sum(axis=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = [estimate_beta_h(PairedSample(x, t), g) for x in xs]
+    assert [beta for beta, _ in result.terms] == pytest.approx(want, rel=0.0, abs=1e-15)
+    assert result.mc_estimate == pytest.approx(_coupled_cov(g, t), rel=0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("h", [Exponential(1), Pareto(0.5), Empirical(np.arange(1.0, 50.0))])
+def test_monte_carlo_indices_build_no_grid(monkeypatch, h):
+    import qtcorr.estimation as estimation
+
+    passes = _count_grid_reads(monkeypatch, estimation)
+    _evaluator.cache_clear()
+    _mc_indices(BivariateModel(FGM(1.0), Exponential(1), Logistic(0, 1)), CorrelationSpec(h))
+    assert passes == [(h, _MC.mc_samples)]  # one stream of H's cells for all seven indices
+
+
+@pytest.mark.parametrize("g", [Exponential(1), Pareto(0.5)])
+def test_decomposition_builds_no_grid(monkeypatch, g):
+    import qtcorr.estimation as estimation
+
+    system = StandbySystem((Exponential(1), Weibull(1, 2), Exponential(0.5)))
+    passes = _count_grid_reads(monkeypatch, estimation)
+    decompose(system, g, 20_000, seed=4)
+    # the three denominators, one pass for every numerator and mc_estimate, the ten batches
+    assert passes == [(g, 20_000)] * 4 + [(g, 2_000)] * 10
