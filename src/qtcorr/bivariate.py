@@ -18,8 +18,8 @@ Sampling uses conditional inversion: U and W uniform, then V solves
 and AMH invert a quadratic in V, taking the root in the form that avoids
 cancellation; Gumbel-Barnett solves a convex scalar equation in
 -log(1 - V) by a few vectorized Newton steps.  The Gaussian family draws
-correlated normal scores Z, which a Normal margin takes as mu + sigma Z,
-never through Phi and back; the dependence extremes set V = U or V = 1 - U.
+correlated normal scores Z, which a margin loc + scale N(0, 1) maps to
+loc + scale Z, never through Phi and back; the extremes set V = U or 1 - U.
 """
 
 from __future__ import annotations
@@ -311,8 +311,9 @@ class GaussianCopula(Copula):
         return tuple(map(ndtr, self.scores(n, rng)))
 
     @staticmethod
-    def score_quantile(law, z):
-        return law.mu + law.sigma * z if type(law) is Normal else law.quantile(ndtr(z))
+    def score_quantile(law, z):  # a law of standard shape Normal(0, 1) is loc + scale Z
+        shape, loc, scale = law.standard_form
+        return loc + scale * z if type(shape) is Normal else law.quantile(ndtr(z))
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,7 @@ from .distributions import (
     Uniform,
 )
 from .errors import DegenerateError, DomainError
-from .estimation import _cell_dots, _dot, _dot_at_average_ranks, _run_sums, _sorted_runs
+from .estimation import _cell_dots, _dot, _dot_at_average_ranks, _no_spread, _run_sums, _sorted_runs
 from .measures import DEFAULT_CONFIG, IntegrationConfig, _once, g_covariance
 
 
@@ -101,10 +101,12 @@ def dependence_integral(
     transform law on one axis it is the numerator of ``beta_h``.  The
     copula's ``dependence_integral`` method computes it: a 2-D quadrature,
     or for FGM the product 4 gamma g(wu, U(0,1)) g(wv, U(0,1)) of two
-    coupled-quantile covariances.
+    coupled-quantile covariances.  It reads only quantile densities, so the
+    weights' scales factor out and their standard shapes are integrated.
     """
+    (a, _, sa), (b, _, sb) = weight_u.standard_form, weight_v.standard_form
     # the family's method, unbound, so the memo keys on the copula by value
-    return _once(type(copula).dependence_integral, (copula, weight_u, weight_v), cfg)
+    return sa * sb * _once(type(copula).dependence_integral, (copula, a, b), cfg)
 
 
 def _denominator(parts: list[float], floor: float) -> float:
@@ -172,9 +174,14 @@ class _MonteCarlo(_Evaluator):
         rng = child_rng(cfg.seed, "correlation.beta_h")  # the tag fixes every MC value
         scores = model.copula.scores(cfg.mc_samples, rng)
         self.x, self.y = map(model.copula.score_quantile, self.margins, scores)
-        centred = self.x - self.x.mean(), self.y - self.y.mean()
+        means = self.x.mean(), self.y.mean()
+        centred = self.x - means[0], self.y - means[1]
         # per score: its tied-run bounds, then x and y in its order
         self.by_score = [(b, *(c[o] for c in centred)) for o, _, b in map(_sorted_runs, scores)]
+        # each column's sum of squares in its own order; a constant column centres to ulp
+        # residues, not zeros, and every covariance of it is 0
+        self.squares = [_dot(s[1 + i], s[1 + i]) for i, s in enumerate(self.by_score)]
+        self.flat = [_no_spread(c, m, q) for c, m, q in zip((self.x, self.y), means, self.squares)]
         for column in (self.x, self.y, *self.by_score[0][1:], *self.by_score[1][1:]):
             column.flags.writeable = False
         self._dots: dict[Distribution, list[float]] = {}
@@ -182,6 +189,8 @@ class _MonteCarlo(_Evaluator):
     def cov(self, a, i: int, b, j: int) -> float:
         if isinstance(a, CorrelationSpec):  # a covariance is symmetric: the spec goes second
             a, i, b, j = b, j, a, i
+        if self.flat[i] or (self.flat[j] and not isinstance(b, CorrelationSpec)):
+            return 0.0  # of a constant column's values (a spec reads column j's ranks only)
         if not isinstance(b, CorrelationSpec):  # two margins
             return super().cov(a, i, b, j)
         if b.h not in self._dots:  # (x, y) at the ranks of u, then of v
@@ -194,7 +203,7 @@ class _MonteCarlo(_Evaluator):
         if i != j:
             dot = _dot(*self.by_score[0][1:])  # Cov(X, Y)
         elif a == b:
-            dot = _dot(ordered, ordered)
+            dot = self.squares[i]
         else:  # rho_t's Cov(X, G^{-1}F(X)): the sorted column against the other one sorted
             other = self.by_score[1 - i][2 - i]
             dot = _dot_at_average_ranks(bounds, _run_sums(ordered, bounds), other)

@@ -8,6 +8,15 @@ and the rank-preserving map :func:`q_transform`.  Quantile-side evaluation
 is tail-aware: the ``*_comp`` variants take the distance to 1 directly, so
 integrators can work at depths where ``1 - p`` is no longer representable.
 
+A location-scale law is X = loc + scale Z for a standard shape Z.  Its hooks
+compute Z alone, and ``Distribution`` applies (loc, scale) in one place, after
+any differencing: quantile loc + s Q0, quantile density s qd0, QI loc p + s QI0,
+cell means loc + s cells0, cdf cdf0((x - loc) / s), and the support mapped the
+same way.  ``standard_form`` is (Z, loc, scale), so consumers read Z and factor
+the scale out of a covariance, which location leaves alone.  A law at (0, 1),
+and a law that is not location-scale, is its own standard shape and pays no
+map.  ``Affine`` is its base's standard shape under the composed map.
+
 QI is the one source of first moments: ``mean`` is QI(1) and ``cell_means``
 its increments; a law without an exact QI raises ``UnsupportedOperationError``.
 
@@ -48,7 +57,29 @@ class Distribution:
 
     # (lower, upper) support ends; math.inf sentinels for unbounded laws.
     support: tuple[float, float] = (-math.inf, math.inf)
-    symmetry_center: float | None = None
+    symmetry_center: float | None = None  # the c with X - c distributed as c - X
+    _map: tuple[Distribution, float, float] | None = None  # (Z, loc, scale) of a located law
+
+    def _locate(self, loc: float, scale: float, standard) -> None:
+        """Make this the law of loc + scale * Z, after the one check of (loc, scale).
+
+        ``standard`` is Z itself, or the family's factory of its (0, 1) member: a family law
+        at (0, 1) is its own standard shape and keeps no map.
+        """
+        if not (math.isfinite(loc) and math.isfinite(scale) and scale > 0.0):
+            bad = f"{self!r} requires a finite location and a finite scale > 0"
+            raise DomainError(f"{bad}, got ({loc!r}, {scale!r})")
+        if isinstance(standard, Distribution) or (loc, scale) != (0.0, 1.0):
+            z = standard if isinstance(standard, Distribution) else standard()
+            (lo, hi), c = z.support, z.symmetry_center
+            object.__setattr__(self, "_map", (z, loc, scale))
+            object.__setattr__(self, "support", (loc + scale * lo, loc + scale * hi))
+            object.__setattr__(self, "symmetry_center", None if c is None else loc + scale * c)
+
+    @property
+    def standard_form(self) -> tuple[Distribution, float, float]:
+        """The law as loc + scale * Z: (Z, loc, scale), or (self, 0, 1) for a standard shape."""
+        return self._map or (self, 0.0, 1.0)
 
     @property
     def name(self) -> str:
@@ -56,6 +87,9 @@ class Distribution:
 
     def cdf(self, x):
         arr, scalar = _as_array(x)
+        if self._map:
+            z, loc, scale = self._map
+            return z.cdf((arr - loc) / scale)
         lo, hi = self.support
         out = np.empty_like(arr)
         below = arr <= lo
@@ -68,21 +102,36 @@ class Distribution:
 
     def quantile(self, p):
         message = "quantile requires p in [0, 1], got {!r}"
-        return self._at(p, self._quantile, message, self.support)
+        return self._at(p, self._mapped("_quantile"), message, self.support)
 
     def quantile_comp(self, q):
         """quantile(1 - q), accurate for very small q."""
         message = "quantile_comp requires q in [0, 1], got {!r}"
-        return self._at(q, self._quantile_comp, message, self.support[::-1])
+        return self._at(q, self._mapped("_quantile_comp"), message, self.support[::-1])
 
     def quantile_density(self, p):
         message = "quantile_density is defined on the open interval (0, 1)"
-        return self._at(p, self._quantile_density, message, open_interval=True)
+        return self._at(p, self._mapped("_quantile_density", ""), message, open_interval=True)
 
     def quantile_density_comp(self, q):
         """quantile_density(1 - q), accurate for very small q."""
         message = "quantile_density_comp is defined on (0, 1)"
-        return self._at(q, self._quantile_density_comp, message, open_interval=True)
+        hook = self._mapped("_quantile_density_comp", "")
+        return self._at(q, hook, message, open_interval=True)
+
+    def _mapped(self, name: str, shift: str = "loc"):
+        """The standard shape's hook ``name``; for a located law, followed by the map
+        v -> shift + scale * v, the shift "loc" for a quantile, "loc*p" for a partial
+        integral and "" for a density, which location leaves alone."""
+        if not self._map:
+            return getattr(self, name)
+        z, loc, scale = self._map
+        hook = getattr(z, name)
+        if shift == "loc*p":
+            return lambda p: loc * p + scale * hook(p)
+        if shift == "loc":
+            return lambda p: loc + scale * hook(p)
+        return lambda p: scale * hook(p)
 
     def _at(self, p, hook, message: str, ends=None, open_interval: bool = False):
         """hook(p) behind the domain check; ``message`` formats p when p is outside.
@@ -111,21 +160,24 @@ class Distribution:
     def quantile_integral(self, p):
         """Partial quantile mass: integral of quantile(v) dv over [0, p]."""
         message = "quantile_integral requires p in [0, 1], got {!r}"
-        return self._at(p, self._quantile_integral, message)
+        return self._at(p, self._mapped("_quantile_integral", "loc*p"), message)
 
     def quantile_integral_comp(self, q):
         """Tail quantile mass: integral of quantile(v) dv over [1 - q, 1]."""
         message = "quantile_integral_comp requires q in [0, 1], got {!r}"
-        return self._at(q, self._quantile_integral_comp, message)
+        return self._at(q, self._mapped("_quantile_integral_comp", "loc*p"), message)
 
     def cell_means(self, n: int) -> np.ndarray:
         """Mean quantile over each of n equal probability cells, n * dQI(k / n)."""
+        if self._map:  # the standard shape's cells, mapped after the differencing
+            z, loc, scale = self._map
+            return loc + scale * z.cell_means(n)
         half = n // 2  # interior nodes only (QI(0) = 0), so the hooks take them unmasked
         lower = np.diff(self.quantile_integral(np.arange(1.0, half + 1) / n), prepend=0.0)
         upper = np.diff(self.quantile_integral_comp(np.arange(1.0, n - half + 1) / n), prepend=0.0)
         return np.concatenate([lower, upper[::-1]]) * n
 
-    # -- law-specific hooks (arrays in, arrays out, interior points only) --
+    # -- law-specific hooks of the standard shape (arrays in, arrays out, interior points only) --
 
     def _cdf(self, x):
         raise NotImplementedError
@@ -150,100 +202,104 @@ class Distribution:
     _quantile_integral_comp = _quantile_integral
 
 
-@dataclass(frozen=True)
-class Uniform(Distribution):
-    a: float = 0.0
-    b: float = 1.0
+class _Symmetric(Distribution):
+    """A standard shape symmetric about 0, whose upper-tail hooks mirror the lower ones:
+    Z_comp(q) = -Z(q), qd_comp = qd and QI_comp(q) = -QI(q)."""
 
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.b > self.a):
-            raise DomainError(f"Uniform requires a < b, got ({self.a}, {self.b})")
-        object.__setattr__(self, "support", (self.a, self.b))
-        object.__setattr__(self, "symmetry_center", 0.5 * (self.a + self.b))
-
-    def _cdf(self, x):
-        return (x - self.a) / (self.b - self.a)
-
-    def _quantile(self, p):
-        return self.a + (self.b - self.a) * p
+    symmetry_center = 0.0
 
     def _quantile_comp(self, q):
-        return self.b - (self.b - self.a) * q
+        return -self._quantile(q)
 
-    def _quantile_density(self, p):
-        return np.full_like(p, self.b - self.a)
-
-    _quantile_density_comp = _quantile_density
-
-    def _quantile_integral(self, p):
-        return self.a * p + 0.5 * (self.b - self.a) * p * p
+    def _quantile_density_comp(self, q):
+        return self._quantile_density(q)
 
     def _quantile_integral_comp(self, q):
-        return self.b * q - 0.5 * (self.b - self.a) * q * q
+        return -self._quantile_integral(q)
+
+
+@dataclass(frozen=True)
+class Uniform(Distribution):
+    """Uniform on (a, b): a + (b - a) Z for Z uniform on (0, 1)."""
+
+    a: float = 0.0
+    b: float = 1.0
+    support = (0.0, 1.0)
+    symmetry_center = 0.5
+
+    def __post_init__(self):
+        self._locate(self.a, self.b - self.a, Uniform)
+
+    def _cdf(self, x):
+        return x
+
+    def _quantile(self, p):
+        return p.copy()
+
+    def _quantile_density(self, p):
+        return np.ones_like(p)
+
+    def _quantile_integral(self, p):
+        return 0.5 * p * p
+
+    def _quantile_integral_comp(self, q):
+        return q - 0.5 * q * q
 
 
 @dataclass(frozen=True)
 class Exponential(Distribution):
+    """Exponential with rate ``rate``: Z / rate for Z of unit rate."""
+
     rate: float = 1.0
+    support = (0.0, math.inf)
 
     def __post_init__(self):
-        if not (math.isfinite(self.rate) and self.rate > 0.0):
-            raise DomainError(f"Exponential requires rate > 0, got {self.rate}")
-        object.__setattr__(self, "support", (0.0, math.inf))
+        self._locate(0.0, 1.0 / self.rate if self.rate else math.inf, Exponential)
 
     def _cdf(self, x):
-        return -np.expm1(-self.rate * x)
+        return -np.expm1(-x)
 
     def _quantile(self, p):
-        return -np.log1p(-p) / self.rate
+        return -np.log1p(-p)
 
     def _quantile_comp(self, q):
-        return -np.log(q) / self.rate
+        return -np.log(q)
 
     def _quantile_density(self, p):
-        return 1.0 / (self.rate * (1.0 - p))
+        return 1.0 / (1.0 - p)
 
     def _quantile_density_comp(self, q):
-        return 1.0 / (self.rate * q)
+        return 1.0 / q
 
     def _quantile_integral(self, p):
         with np.errstate(invalid="ignore", divide="ignore"):
-            raw = (p + (1.0 - p) * np.log1p(-p)) / self.rate
-        return np.where(p >= 1.0, 1.0 / self.rate, raw)
+            raw = p + (1.0 - p) * np.log1p(-p)
+        return np.where(p >= 1.0, 1.0, raw)
 
     def _quantile_integral_comp(self, q):
         with np.errstate(invalid="ignore", divide="ignore"):
-            raw = q * (1.0 - np.log(q)) / self.rate
+            raw = q * (1.0 - np.log(q))
         return np.where(q <= 0.0, 0.0, raw)
 
 
 @dataclass(frozen=True)
-class Logistic(Distribution):
+class Logistic(_Symmetric):
     loc: float = 0.0
     scale: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.scale) and self.scale > 0.0):
-            raise DomainError(f"Logistic requires scale > 0, got {self.scale}")
-        object.__setattr__(self, "symmetry_center", self.loc)
+        self._locate(self.loc, self.scale, Logistic)
 
     def _cdf(self, x):
-        return _expit((x - self.loc) / self.scale)
+        return _expit(x)
 
     def _quantile(self, p):
-        return self.loc + self.scale * (np.log(p) - np.log1p(-p))
-
-    def _quantile_comp(self, q):
-        return self.loc + self.scale * (np.log1p(-q) - np.log(q))
+        return np.log(p) - np.log1p(-p)
 
     def _quantile_density(self, p):
-        return self.scale / (p * (1.0 - p))
+        return 1.0 / (p * (1.0 - p))
 
-    def _quantile_density_comp(self, q):
-        return self.scale / (q * (1.0 - q))
-
-    @staticmethod
-    def _xlogx_pair(p):
+    def _quantile_integral(self, p):
         # p log p + (1 - p) log1p(-p) in two buffers; it is negative inside (0, 1),
         # so fmin takes the NaN of 0 log 0 at p in {0, 1} to its limit 0
         out, tmp = np.empty_like(p), np.empty_like(p)
@@ -255,131 +311,93 @@ class Logistic(Distribution):
             out += tmp
         return np.fmin(out, 0.0, out=out)
 
-    def _quantile_integral(self, p):
-        return self.loc * p + self.scale * self._xlogx_pair(p)
-
-    def _quantile_integral_comp(self, q):
-        return self.loc * q - self.scale * self._xlogx_pair(q)
-
 
 @dataclass(frozen=True)
-class Normal(Distribution):
+class Normal(_Symmetric):
     mu: float = 0.0
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise DomainError(f"Normal requires sigma > 0, got {self.sigma}")
-        object.__setattr__(self, "symmetry_center", self.mu)
+        self._locate(self.mu, self.sigma, Normal)
 
     def _cdf(self, x):
-        return ndtr((x - self.mu) / self.sigma)
+        return ndtr(x)
 
     def _quantile(self, p):
-        return self.mu + self.sigma * ndtri(p)
-
-    def _quantile_comp(self, q):
-        return self.mu - self.sigma * ndtri(q)
-
-    @staticmethod
-    def _std_qd(z):
-        return np.sqrt(2.0 * np.pi) * np.exp(0.5 * z * z)
+        return ndtri(p)
 
     def _quantile_density(self, p):
-        return self.sigma * self._std_qd(ndtri(p))
+        z = ndtri(p)
+        return np.sqrt(2.0 * np.pi) * np.exp(0.5 * z * z)
 
-    def _quantile_density_comp(self, q):
-        return self.sigma * self._std_qd(ndtri(q))
-
-    @staticmethod
-    def _std_pdf_at_quantile(p):
+    def _quantile_integral(self, p):  # -phi(Phi^-1(p)), closed by 0 at p in {0, 1}
         with np.errstate(invalid="ignore", over="ignore"):
             z = ndtri(p)
             raw = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
-        return np.where((p <= 0.0) | (p >= 1.0), 0.0, raw)
-
-    def _quantile_integral(self, p):
-        return self.mu * p - self.sigma * self._std_pdf_at_quantile(p)
-
-    def _quantile_integral_comp(self, q):
-        return self.mu * q + self.sigma * self._std_pdf_at_quantile(q)
+        return np.where((p <= 0.0) | (p >= 1.0), 0.0, -raw)
 
 
 @dataclass(frozen=True)
 class Weibull(Distribution):
-    """Weibull with CDF 1 - exp(-(x / scale) ** shape)."""
+    """Weibull with CDF 1 - exp(-(x / scale) ** shape): scale Z for Z = Weibull(1, shape)."""
 
     scale: float = 1.0
     shape: float = 1.0
+    support = (0.0, math.inf)
 
     def __post_init__(self):
-        if not (math.isfinite(self.scale) and self.scale > 0.0):
-            raise DomainError(f"Weibull requires scale > 0, got {self.scale}")
         if not (math.isfinite(self.shape) and self.shape > 0.0):
             raise DomainError(f"Weibull requires shape > 0, got {self.shape}")
-        object.__setattr__(self, "support", (0.0, math.inf))
+        self._locate(0.0, self.scale, lambda: Weibull(1.0, self.shape))
 
     def _cdf(self, x):
-        return -np.expm1(-((x / self.scale) ** self.shape))
+        return -np.expm1(-(x**self.shape))
 
     def _quantile(self, p):
-        return self.scale * (-np.log1p(-p)) ** (1.0 / self.shape)
+        return (-np.log1p(-p)) ** (1.0 / self.shape)
 
     def _quantile_comp(self, q):
-        return self.scale * (-np.log(q)) ** (1.0 / self.shape)
+        return (-np.log(q)) ** (1.0 / self.shape)
 
     def _quantile_density(self, p):
         lam = -np.log1p(-p)
-        return self.scale / self.shape * lam ** (1.0 / self.shape - 1.0) / (1.0 - p)
+        return 1.0 / self.shape * lam ** (1.0 / self.shape - 1.0) / (1.0 - p)
 
     def _quantile_density_comp(self, q):
         lam = -np.log(q)
-        return self.scale / self.shape * lam ** (1.0 / self.shape - 1.0) / q
+        return 1.0 / self.shape * lam ** (1.0 / self.shape - 1.0) / q
 
     def _quantile_integral(self, p):
         a = 1.0 + 1.0 / self.shape
         with np.errstate(divide="ignore"):
             x = -np.log1p(-p)
-        return self.mean() * _gamma_inc(a, x, upper=False)
+        return math.gamma(a) * _gamma_inc(a, x, upper=False)
 
     def _quantile_integral_comp(self, q):
         a = 1.0 + 1.0 / self.shape
         with np.errstate(divide="ignore"):
             x = -np.log(q)
-        return self.mean() * _gamma_inc(a, x, upper=True)
-
-    def mean(self) -> float:
-        return self.scale * math.gamma(1.0 + 1.0 / self.shape)
+        return math.gamma(a) * _gamma_inc(a, x, upper=True)
 
 
 @dataclass(frozen=True)
-class Laplace(Distribution):
+class Laplace(_Symmetric):
     loc: float = 0.0
     scale: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.scale) and self.scale > 0.0):
-            raise DomainError(f"Laplace requires scale > 0, got {self.scale}")
-        object.__setattr__(self, "symmetry_center", self.loc)
+        self._locate(self.loc, self.scale, Laplace)
 
     def _cdf(self, x):
-        z = (x - self.loc) / self.scale
-        return np.where(z < 0.0, 0.5 * np.exp(z), 1.0 - 0.5 * np.exp(-z))
+        return np.where(x < 0.0, 0.5 * np.exp(x), 1.0 - 0.5 * np.exp(-x))
 
     def _quantile(self, p):
         low = np.log(2.0 * np.minimum(p, 0.5))
         high = -np.log(2.0 * np.minimum(1.0 - p, 0.5))
-        return self.loc + self.scale * np.where(p < 0.5, low, high)
-
-    def _quantile_comp(self, q):
-        low = np.log(2.0 * np.minimum(q, 0.5))
-        high = -np.log(2.0 * np.minimum(1.0 - q, 0.5))
-        return self.loc - self.scale * np.where(q < 0.5, low, high)
+        return np.where(p < 0.5, low, high)
 
     def _quantile_density(self, p):
-        return self.scale / np.minimum(p, 1.0 - p)
-
-    _quantile_density_comp = _quantile_density
+        return 1.0 / np.minimum(p, 1.0 - p)
 
     def _quantile_integral(self, p):
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -387,15 +405,7 @@ class Laplace(Distribution):
             high = (1.0 - p) * (np.log(2.0 * (1.0 - p)) - 1.0)
         low = np.where(p <= 0.0, 0.0, low)
         high = np.where(p >= 1.0, 0.0, high)
-        return self.loc * p + self.scale * np.where(p <= 0.5, low, high)
-
-    def _quantile_integral_comp(self, q):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            low = q * (1.0 - np.log(2.0 * q))
-            high = -(1.0 - q) * (np.log(2.0 * (1.0 - q)) - 1.0)
-        low = np.where(q <= 0.0, 0.0, low)
-        high = np.where(q >= 1.0, 0.0, high)
-        return self.loc * q + self.scale * np.where(q <= 0.5, low, high)
+        return np.where(p <= 0.5, low, high)
 
 
 @dataclass(frozen=True)
@@ -406,39 +416,36 @@ class Gumbel(Distribution):
     scale: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.scale) and self.scale > 0.0):
-            raise DomainError(f"Gumbel requires scale > 0, got {self.scale}")
+        self._locate(self.loc, self.scale, Gumbel)
 
     def _cdf(self, x):
-        return np.exp(-np.exp(-(x - self.loc) / self.scale))
+        return np.exp(-np.exp(-x))
 
     def _quantile(self, p):
-        return self.loc - self.scale * np.log(-np.log(p))
+        return -np.log(-np.log(p))
 
     def _quantile_comp(self, q):
-        return self.loc - self.scale * np.log(-np.log1p(-q))
+        return -np.log(-np.log1p(-q))
 
     def _quantile_density(self, p):
-        return self.scale / (p * (-np.log(p)))
+        return 1.0 / (p * (-np.log(p)))
 
     def _quantile_density_comp(self, q):
-        return self.scale / ((1.0 - q) * (-np.log1p(-q)))
+        return 1.0 / ((1.0 - q) * (-np.log1p(-q)))
 
     def _quantile_integral(self, p):
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             x = -np.log(p)
             raw = -p * np.log(x) - _exp1(x)
         raw = np.where(p <= 0.0, 0.0, raw)
-        raw = np.where(p >= 1.0, _EULER_GAMMA, raw)
-        return self.loc * p + self.scale * raw
+        return np.where(p >= 1.0, _EULER_GAMMA, raw)
 
     def _quantile_integral_comp(self, q):
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             x = -np.log1p(-q)
             raw = _EULER_GAMMA + (1.0 - q) * np.log(x) + _exp1(x)
         raw = np.where(q <= 0.0, 0.0, raw)
-        raw = np.where(q >= 1.0, _EULER_GAMMA, raw)
-        return self.loc * q + self.scale * raw
+        return np.where(q >= 1.0, _EULER_GAMMA, raw)
 
 
 @dataclass(frozen=True)
@@ -451,11 +458,11 @@ class Pareto(Distribution):
     """
 
     nu: float = 0.5
+    support = (1.0, math.inf)
 
     def __post_init__(self):
         if not (math.isfinite(self.nu) and 0.0 < self.nu < 1.0):
             raise DomainError(f"Pareto requires 0 < nu < 1, got {self.nu}")
-        object.__setattr__(self, "support", (1.0, math.inf))
 
     def _cdf(self, x):
         return -np.expm1(np.log(x) / (self.nu - 1.0))
@@ -485,11 +492,11 @@ class Power(Distribution):
     """Power law on (0, 1) with CDF 1 - (1 - x) ** (1 / (nu - 1)), nu > 1."""
 
     nu: float = 2.0
+    support = (0.0, 1.0)
 
     def __post_init__(self):
         if not (math.isfinite(self.nu) and self.nu > 1.0):
             raise DomainError(f"Power requires nu > 1, got {self.nu}")
-        object.__setattr__(self, "support", (0.0, 1.0))
 
     def _cdf(self, x):
         return -np.expm1(np.log1p(-x) / (self.nu - 1.0))
@@ -556,10 +563,8 @@ class Empirical(Distribution):
         # smallest index.
         return self._values[np.clip(np.ceil(p * self.n).astype(int), 1, self.n) - 1]
 
-    def quantile_density(self, p):
+    def _quantile_density(self, p):
         raise DomainError("Empirical has a step CDF; quantile_density is undefined")
-
-    quantile_density_comp = quantile_density
 
     @staticmethod
     def _step_integral(values: np.ndarray, p):
@@ -589,43 +594,15 @@ class Empirical(Distribution):
 
 @dataclass(frozen=True)
 class Affine(Distribution):
-    """Law of shift + scale * X for scale > 0."""
+    """Law of shift + scale * X for scale > 0: X's standard shape under the composed map."""
 
     base: Distribution = None  # type: ignore[assignment]
     shift: float = 0.0
     scale: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.scale) and self.scale > 0.0):
-            raise DomainError(f"Affine requires scale > 0, got {self.scale}")
-        lo, hi = self.base.support
-        object.__setattr__(
-            self, "support", (self.shift + self.scale * lo, self.shift + self.scale * hi)
-        )
-        c = self.base.symmetry_center
-        if c is not None:
-            object.__setattr__(self, "symmetry_center", self.shift + self.scale * c)
-
-    def _cdf(self, x):
-        return self.base.cdf((x - self.shift) / self.scale)
-
-    def _quantile(self, p):
-        return self.shift + self.scale * self.base.quantile(p)
-
-    def _quantile_comp(self, q):
-        return self.shift + self.scale * self.base.quantile_comp(q)
-
-    def _quantile_density(self, p):
-        return self.scale * self.base.quantile_density(p)
-
-    def _quantile_density_comp(self, q):
-        return self.scale * self.base.quantile_density_comp(q)
-
-    def _quantile_integral(self, p):
-        return self.shift * p + self.scale * self.base.quantile_integral(p)
-
-    def _quantile_integral_comp(self, q):
-        return self.shift * q + self.scale * self.base.quantile_integral_comp(q)
+        z, loc, scale = self.base.standard_form
+        self._locate(self.shift + self.scale * loc, self.scale * scale, z)
 
 
 @dataclass(frozen=True)
@@ -636,10 +613,9 @@ class Reflected(Distribution):
 
     def __post_init__(self):
         lo, hi = self.base.support
-        object.__setattr__(self, "support", (-hi, -lo))
         c = self.base.symmetry_center
-        if c is not None:
-            object.__setattr__(self, "symmetry_center", -c)
+        object.__setattr__(self, "support", (-hi, -lo))
+        object.__setattr__(self, "symmetry_center", None if c is None else -c)
 
     def _cdf(self, x):
         # P(-X <= x) = 1 - F(-x) for continuous X.
@@ -700,13 +676,15 @@ class ExpTransformed(Distribution):
         return np.exp(self.base.quantile_comp(q)) * self.base.quantile_density_comp(q)
 
     def _lognormal(self) -> tuple[float, float]:
-        """(E exp(X), sigma) for a Normal(mu, sigma) base, the one base with an exact QI."""
-        if not isinstance(self.base, Normal):
+        """(E exp(X), sigma) for a base mu + sigma Z with Z standard normal, the one base
+        with an exact QI."""
+        z, mu, sigma = self.base.standard_form
+        if type(z) is not Normal:
             raise UnsupportedOperationError(f"exp({self.base.name}) has no exact quantile integral")
-        log_mean = self.base.mu + 0.5 * self.base.sigma**2
+        log_mean = mu + 0.5 * sigma**2
         if log_mean > 709.0:
             raise NumericalError(f"the mean of exp({self.base}) overflows")
-        return math.exp(log_mean), self.base.sigma
+        return math.exp(log_mean), sigma
 
     # exp(mu + sigma Z) below Z = z has mass E exp(X) Phi(z - sigma); Phi(+-inf) closes the ends
     def _quantile_integral(self, p):

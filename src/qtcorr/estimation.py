@@ -16,7 +16,9 @@ stays unbiased enough for heavy-tailed transforms whose pointwise
 quantiles have infinite variance.  A law without exact partial integrals
 raises ``UnsupportedOperationError``.  A plug-in covariance is a sum over
 the tied runs of the sorted column: the partner summed over the run times
-the run's mean cell, n * dQI / size, less the mean over all cells.  Each
+the run's mean cell, n * dQI / size, less the mean over all cells.  The cells
+are those of H's standard shape H0, since the centring cancels H's location:
+``_cell_dots(h)`` is scale times ``_cell_dots(h0)``.  Each
 column takes its own route, also when only one of the two is tied: the
 tied columns read QI at their run edges only, and the untied ones share
 one stream of the cells in blocks of 16,384; no estimator builds the
@@ -154,8 +156,10 @@ def _cell_dots(h: Distribution, n: int, *columns) -> list:
     over run r's cells and c the mean over all n cells.
 
     The untied columns share one streamed pass of the cells; the tied ones read QI at the
-    union of their run edges only, joined by the untied ones when H is Empirical.
+    union of their run edges only, joined by the untied ones when H is Empirical.  The cells
+    are H's standard shape's: the centring cancels loc, and each dot is scaled once.
     """
+    h, _, scale = h.standard_form
     dots = [0.0] * len(columns)
     if isinstance(h, Empirical) and any(b is not None for b, _ in columns):
         columns = [(np.arange(n + 1) if b is None else b, w) for b, w in columns]
@@ -178,7 +182,7 @@ def _cell_dots(h: Distribution, n: int, *columns) -> list:
             b, w = columns[i]
             means = np.add.reduceat(masses, np.searchsorted(edges, b[:-1])) / np.diff(b)
             dots[i] = _dot(w, means - c)
-    return dots
+    return [scale * d for d in dots]
 
 
 def _coupled_cov(h: Distribution, column: np.ndarray) -> float:

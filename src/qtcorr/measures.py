@@ -12,12 +12,14 @@ its generalization, log-odds covariance, extended Gini, record-value
 gaps), so there is a single production code path; the direct x-domain
 integral forms live only in the test suite as independent oracles.
 
-Each distinct quadrature integral is computed once per process: one
-``lru_cache`` of 1024 floats, ``_quadrature_memo``, shared with
+Location cancels and scale factors out: g(F, G) = s_F s_G g(F0, G0) on the
+laws' standard shapes.  Each distinct quadrature integral is computed once per
+process: one ``lru_cache`` of 1024 floats, ``_quadrature_memo``, shared with
 ``correlation.dependence_integral``, keys ``g_covariance`` on the unordered
-law pair plus (abs_tol, tail_eps), never the method or seed.  Keys hold
-only hashable dataclass laws of numbers, so no array data (no ``Empirical``
-law) is retained; errors are not cached.  Tests reset it with ``cache_clear``.
+pair of standard shapes plus (abs_tol, tail_eps), never the method or seed.
+Keys hold only hashable dataclass laws of numbers, so no array data (no
+``Empirical`` law) is retained; errors are not cached.  Tests reset it with
+``cache_clear``.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ class IntegrationConfig:
     """Numerical policy shared by every measure and correlation routine.
 
     method      -- "quadrature" or "monte_carlo"
-    abs_tol     -- absolute tolerance target for adaptive quadrature
+    abs_tol     -- absolute tolerance target of adaptive quadrature on standard shapes
     tail_eps    -- truncation parameter of the tail-transformed integrals;
                    halving it must not move any result by abs_tol or more
     mc_samples  -- Monte Carlo sample count
@@ -135,8 +137,10 @@ def g_covariance(
 
     Equals the coupled-quantile integral of F^{-1} and G^{-1} minus the
     product of means; symmetric in its arguments and nonnegative up to
-    quadrature tolerance.  Degenerate empirical inputs return 0.
+    quadrature tolerance.  Degenerate empirical inputs return 0.  Location
+    cancels and scale factors out: it is s_F s_G times the standard shapes' one.
     """
+    (f, _, sf), (g, _, sg) = f.standard_form, g.standard_form
     if _is_degenerate(f) or _is_degenerate(g):
         return 0.0
     if isinstance(f, Empirical) and isinstance(g, Empirical):
@@ -146,8 +150,8 @@ def g_covariance(
     elif isinstance(g, Empirical):
         raw = _empirical_mixed_integral(g, f)
     else:  # F^{-1} G^{-1} and the means commute exactly: one entry serves both orders
-        return _once(_coupled_quadrature, sorted((f, g), key=repr), cfg)
-    return raw - f.mean() * g.mean()
+        return sf * sg * _once(_coupled_quadrature, sorted((f, g), key=repr), cfg)
+    return sf * sg * (raw - f.mean() * g.mean())
 
 
 def _coupled_quadrature(f, g, abs_tol: float, tail_eps: float) -> float:

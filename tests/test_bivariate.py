@@ -326,3 +326,14 @@ def test_parse_copula(text, expected):
 def test_parse_copula_rejects(text):
     with pytest.raises(DomainError):
         parse_copula(text)
+
+
+
+def test_gaussian_scores_map_a_standard_normal_shape_by_its_location_and_scale():
+    from qtcorr.distributions import Affine, Normal, ndtr
+
+    z = np.random.default_rng(6).standard_normal(1000)
+    for law in (Affine(Normal(), 2.0, 3.0), Normal(2.0, 3.0), Affine(Normal(1.0, 1.5), 0.0, 2.0)):
+        assert GaussianCopula.score_quantile(law, z).tobytes() == (2.0 + 3.0 * z).tobytes()
+    law = Affine(Logistic(0.0, 1.0), 2.0, 3.0)  # any other shape reads its quantile at Phi(z)
+    assert np.array_equal(GaussianCopula.score_quantile(law, z), law.quantile(ndtr(z)))

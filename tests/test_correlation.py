@@ -518,17 +518,21 @@ def test_gaussian_monte_carlo_keeps_normal_margins_in_normal_scores(monkeypatch)
 
     for owner, name in ((distributions, "ndtri"), (bivariate, "ndtri"), (Normal, "quantile")):
         monkeypatch.setattr(owner, name, refuse)
-    model = BivariateModel(GaussianCopula(0.6), Normal(0.5, 2.0), Normal(-1.0, 0.5))
-    cfg = IntegrationConfig(method="monte_carlo", mc_samples=20_000, seed=1)
-    _evaluator.cache_clear()
-    assert all(np.isfinite(_all_indices(model, named_transform("cre_based"), cfg)))
-    ev = _evaluator(model, cfg)
-    z, w = model.copula.scores(20_000, bivariate.child_rng(1, "correlation.beta_h"))
-    assert np.array_equal(ev.x, 0.5 + 2.0 * z) and np.array_equal(ev.y, -1.0 + 0.5 * w)
-    # a paired sample takes the same path
-    z, w = model.copula.scores(1000, bivariate.child_rng(3, "bivariate.sample"))
-    sample = model.sample(1000, seed=3)
-    assert np.array_equal(sample.x, 0.5 + 2.0 * z) and np.array_equal(sample.y, -1.0 + 0.5 * w)
+    # any margin of standard shape Normal(0, 1) is loc + scale Z: a Normal, or an Affine of one
+    located = Affine(Normal(0.0, 1.0), 0.5, 2.0), Affine(Normal(-6.0, 2.0), 0.5, 0.25)
+    for margins in ((Normal(0.5, 2.0), Normal(-1.0, 0.5)), located):
+        model = BivariateModel(GaussianCopula(0.6), *margins)
+        cfg = IntegrationConfig(method="monte_carlo", mc_samples=20_000, seed=1)
+        _evaluator.cache_clear()
+        assert all(np.isfinite(_all_indices(model, named_transform("cre_based"), cfg)))
+        ev = _evaluator(model, cfg)
+        z, w = model.copula.scores(20_000, bivariate.child_rng(1, "correlation.beta_h"))
+        assert np.array_equal(ev.x, 0.5 + 2.0 * z) and np.array_equal(ev.y, -1.0 + 0.5 * w)
+        # a paired sample takes the same path
+        z, w = model.copula.scores(1000, bivariate.child_rng(3, "bivariate.sample"))
+        sample = model.sample(1000, seed=3)
+        assert np.array_equal(sample.x, 0.5 + 2.0 * z)
+        assert np.array_equal(sample.y, -1.0 + 0.5 * w)
     _evaluator.cache_clear()
 
 
@@ -757,3 +761,51 @@ def test_a_transform_without_exact_cell_means_is_refused_never_approximated():
             refusal()
         assert isinstance(err.value, QtcorrError)
     assert h.quantile(0.5) == pytest.approx(math.exp(math.sqrt(math.log(2.0))))
+
+
+# -- location cancels and scale factors out of every covariance --------------------
+
+
+def test_a_shifted_margin_leaves_pearson_alone():
+    # location inside the coupled integral would cancel against the product of means
+    shifted = BivariateModel(GumbelBarnett(1.0), Affine(Exponential(1.0), 1e7, 1.0), Weibull(1, 2))
+    plain = BivariateModel(GumbelBarnett(1.0), Exponential(1.0), Weibull(1, 2))
+    assert abs(pearson(shifted) - pearson(plain)) <= 1e-12
+
+
+@pytest.mark.parametrize("h", [Exponential(1.0), Logistic(0.0, 1.0), Pareto(0.4), Uniform()])
+def test_beta_h_is_free_of_an_affine_map_of_h(h):
+    model = BivariateModel(GumbelBarnett(0.7), Weibull(1, 2), Logistic(1.0, 2.0))
+    mc = IntegrationConfig(method="monte_carlo", mc_samples=20_000, seed=2)
+    for cfg in (IntegrationConfig(), mc):
+        for fn in (beta_h, beta_h_reversed):
+            want = fn(model, CorrelationSpec(h), cfg)
+            for a, b in ((1e6, 3.0), (-2.5, 1e-3), (1e12, 1e4)):
+                got = fn(model, CorrelationSpec(Affine(h, a, b)), cfg)
+                assert abs(got - want) <= 1e-14
+    _evaluator.cache_clear()
+
+
+def test_dependence_integral_factors_the_weight_scales_out():
+    for copula in (GumbelBarnett(1.0), FGM(-0.5), GaussianCopula(0.4)):
+        want = dependence_integral(copula, Weibull(1, 2), Logistic(0.0, 1.0))
+        got = dependence_integral(copula, Weibull(3.0, 2.0), Logistic(1e9, 0.5))
+        assert abs(got - 1.5 * want) <= 1e-15 * abs(1.5 * want)
+
+
+def test_monte_carlo_refuses_a_constant_margin():
+    # x = 0.3 centres to equal residues of a few ulps, not zeros: Var(x) must read 0 there
+    _evaluator.cache_clear()
+    with pytest.raises(DegenerateError):
+        pearson(
+            BivariateModel(FGM(0.5), Empirical([0.3] * 4), Exponential(1)),
+            IntegrationConfig(method="monte_carlo", mc_samples=1000, seed=1),
+        )
+    model = BivariateModel(FGM(0.5), Empirical([0.3] * 4), Exponential(1))
+    cfg = IntegrationConfig(method="monte_carlo", mc_samples=1000, seed=1)
+    for index in (rho_t, lambda m, c: beta_h(m, named_transform("gini"), c)):
+        with pytest.raises(DegenerateError):  # as at quadrature and in the estimators
+            index(model, cfg)
+    # beta_h_reversed reads x only through the ranks of its scores
+    assert math.isfinite(beta_h_reversed(model, named_transform("gini"), cfg))
+    _evaluator.cache_clear()

@@ -1,6 +1,7 @@
 """Distribution catalog: round trips, densities, symmetry, grammar."""
 
 import ast
+import dataclasses
 import math
 from pathlib import Path
 
@@ -139,7 +140,8 @@ def test_quantile_density_matches_finite_difference(law):
 
 @pytest.mark.parametrize(
     "law",
-    [Uniform(-2, 5), Normal(1.5, 2.0), Logistic(0.3, 1.1), Laplace(-1, 2)],
+    [Uniform(-2, 5), Normal(1.5, 2.0), Logistic(0.3, 1.1), Laplace(-1, 2)]
+    + [Affine(Uniform(0, 1), 2.0, 3.0), Reflected(Uniform(-2, 5)), Affine(Laplace(1, 2), -3, 0.5)],
     ids=lambda d: repr(d),
 )
 def test_symmetric_quantile_identity(law):
@@ -418,11 +420,13 @@ def test_inputs_off_the_fast_path_keep_types_ends_and_messages(law):
 
 
 def _full_node_cell_means(law, n):
-    """Former grid: integer nodes k / n from 0 to n, both ends through the masked path."""
+    """Former grid: integer nodes k / n from 0 to n, both ends through the masked path, of
+    the standard shape; a located law maps it, loc + scale * grid, after the differencing."""
+    z, loc, scale = law.standard_form
     half = n // 2
-    lower = np.diff(law.quantile_integral(np.arange(half + 1) / n))
-    upper = np.diff(law.quantile_integral_comp(np.arange(n - half + 1) / n))[::-1]
-    return np.concatenate([lower, upper]) * n
+    lower = np.diff(z.quantile_integral(np.arange(half + 1) / n))
+    upper = np.diff(z.quantile_integral_comp(np.arange(n - half + 1) / n))[::-1]
+    return loc + scale * (np.concatenate([lower, upper]) * n)
 
 
 @pytest.mark.parametrize("law", CATALOG + _DERIVED[:4], ids=lambda d: repr(d))
@@ -432,8 +436,128 @@ def test_cell_means_match_the_full_node_grid_bit_for_bit(law):
 
 
 def test_cell_means_match_the_full_node_grid_at_a_million_and_one():
-    for law in (Logistic(0.0, 1.0), Exponential(1.0), Pareto(0.5)):
+    for law in (Logistic(0.0, 1.0), Exponential(1.0), Pareto(0.5), Normal(1e4, 1.0)):
         assert np.array_equal(law.cell_means(10**6 + 1), _full_node_cell_means(law, 10**6 + 1))
+
+
+# -- location-scale laws: a standard shape under one affine map ----------------
+
+_LOCATED = [  # (law, its standard shape Z, loc, scale): the law of loc + scale * Z
+    (Uniform(-2.0, 5.0), Uniform(0.0, 1.0), -2.0, 7.0),
+    (Uniform(0.1, 0.7), Uniform(0.0, 1.0), 0.1, 0.7 - 0.1),
+    (Exponential(2.5), Exponential(1.0), 0.0, 1.0 / 2.5),
+    (Logistic(1.5, 0.7), Logistic(0.0, 1.0), 1.5, 0.7),
+    (Normal(2.0, 3.0), Normal(0.0, 1.0), 2.0, 3.0),
+    (Normal(1e7, 1.0), Normal(0.0, 1.0), 1e7, 1.0),
+    (Weibull(2.0, 1.3), Weibull(1.0, 1.3), 0.0, 2.0),
+    (Laplace(-1.0, 2.0), Laplace(0.0, 1.0), -1.0, 2.0),
+    (Gumbel(1.0, 0.5), Gumbel(0.0, 1.0), 1.0, 0.5),
+    (Affine(Normal(1.0, 2.0), 3.0, 4.0), Normal(0.0, 1.0), 7.0, 8.0),
+    (Affine(Pareto(0.8), -1.0, 0.5), Pareto(0.8), -1.0, 0.5),
+    (Affine(Exponential(1.0), 0.0, 1.0), Exponential(1.0), 0.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("law,shape,loc,scale", _LOCATED, ids=lambda v: repr(v))
+def test_a_located_law_is_its_standard_shape_under_one_affine_map(law, shape, loc, scale):
+    assert law.standard_form == (shape, loc, scale)
+    p = _interior_points()
+    pairs = (
+        (law.quantile(p), loc + scale * shape.quantile(p)),
+        (law.quantile_comp(p), loc + scale * shape.quantile_comp(p)),
+        (law.quantile_density(p), scale * shape.quantile_density(p)),
+        (law.quantile_density_comp(p), scale * shape.quantile_density_comp(p)),
+        (law.quantile_integral(p), loc * p + scale * shape.quantile_integral(p)),
+        (law.quantile_integral_comp(p), loc * p + scale * shape.quantile_integral_comp(p)),
+        (law.cell_means(1001), loc + scale * shape.cell_means(1001)),
+    )
+    for got, want in pairs:
+        assert got.tobytes() == want.tobytes()
+    x = law.quantile(np.linspace(0.01, 0.99, 99))
+    assert law.cdf(x).tobytes() == shape.cdf((x - loc) / scale).tobytes()
+    lo, hi = shape.support
+    assert law.support == (loc + scale * lo, loc + scale * hi)
+    assert law.mean() == loc + scale * shape.mean()
+
+
+@pytest.mark.parametrize(
+    "law",
+    [Uniform(0, 1), Exponential(1), Logistic(0, 1), Normal(0, 1), Weibull(1, 0.5), Laplace()]
+    + [Gumbel(), Pareto(0.5), Power(3.0), Reflected(Normal(2, 1)), ExpTransformed(Normal())]
+    + [Empirical([1.0, 2.0, 4.0])],
+    ids=repr,
+)
+def test_a_standard_shape_is_its_own_standard_form(law):
+    z, loc, scale = law.standard_form
+    assert z is law and (loc, scale) == (0.0, 1.0)
+
+
+def test_affine_composes_its_map_with_its_base_exactly():
+    law = Affine(Normal(1e7, 1.0), -1e7, 1.0)  # a standard normal again, with no 1e7 rounding
+    assert law.standard_form == (Normal(0.0, 1.0), 0.0, 1.0)
+    p = _interior_points()
+    assert np.array_equal(law.quantile(p), Normal(0.0, 1.0).quantile(p))
+    assert np.array_equal(law.cell_means(1000), Normal(0.0, 1.0).cell_means(1000))
+    twice = Affine(Affine(Logistic(1.0, 2.0), 3.0, 4.0), -1.0, 0.5)  # -1 + 0.5 (3 + 4 (1 + 2 Z))
+    assert twice.standard_form == (Logistic(0.0, 1.0), 2.5, 4.0)
+
+
+def test_families_keep_their_fields_equality_and_repr():
+    fields = {
+        Uniform: ("a", "b"),
+        Exponential: ("rate",),
+        Logistic: ("loc", "scale"),
+        Normal: ("mu", "sigma"),
+        Weibull: ("scale", "shape"),
+        Laplace: ("loc", "scale"),
+        Gumbel: ("loc", "scale"),
+        Affine: ("base", "shift", "scale"),
+    }
+    for family, names in fields.items():
+        assert tuple(f.name for f in dataclasses.fields(family)) == names
+    law = Normal(5.0, 2.0)
+    assert repr(law) == "Normal(mu=5.0, sigma=2.0)"
+    assert law == Normal(5.0, 2.0) and hash(law) == hash(Normal(5.0, 2.0))
+    assert law != Normal(0.0, 2.0) and law.standard_form[0] == Normal(0.0, 1.0)
+    assert repr(Affine(Normal(), 1.0, 2.0)) == (
+        "Affine(base=Normal(mu=0.0, sigma=1.0), shift=1.0, scale=2.0)"
+    )
+
+
+def test_every_located_family_refuses_a_bad_location_or_scale_in_one_message():
+    for bad in (
+        lambda: Uniform(2.0, 1.0),
+        lambda: Uniform(-math.inf, 1.0),
+        lambda: Exponential(0.0),
+        lambda: Logistic(math.nan, 1.0),
+        lambda: Normal(0.0, -1.0),
+        lambda: Weibull(math.inf, 1.0),
+        lambda: Laplace(0.0, 0.0),
+        lambda: Gumbel(math.inf, 1.0),
+        lambda: Affine(Normal(), 0.0, -1.0),
+        lambda: Affine(Normal(0.0, 1e300), 0.0, 1e300),
+    ):
+        with pytest.raises(DomainError, match="requires a finite location and a finite scale > 0"):
+            bad()
+
+
+def test_symmetry_center_is_loc_plus_scale_times_the_shape_centre():
+    assert Uniform(0.1, 0.7).symmetry_center == 0.1 + (0.7 - 0.1) * 0.5
+    assert Uniform(0.0, 1.0).symmetry_center == 0.5
+    assert Normal(2.0, 3.0).symmetry_center == 2.0
+    assert Affine(Uniform(0.0, 1.0), 2.0, 3.0).symmetry_center == 3.5
+    assert Affine(Logistic(1.0, 2.0), 1.0, 3.0).symmetry_center == 4.0
+    assert Reflected(Laplace(-1.0, 2.0)).symmetry_center == 1.0
+    assert Reflected(Affine(Uniform(0.0, 1.0), 2.0, 3.0)).symmetry_center == -3.5
+    assert Affine(Reflected(Normal(1.0, 1.0)), 1.0, 2.0).symmetry_center == -1.0
+    for law in (Gumbel(), Exponential(), Affine(Gumbel(1, 2)), Reflected(Weibull()), Pareto()):
+        assert law.symmetry_center is None
+
+
+def test_cell_means_keep_the_standard_grid_far_from_zero():
+    # loc enters after the differencing, so loc = 1e4 costs its own rounding and no more
+    near, far = Normal(0.0, 1.0).cell_means(10**6), Normal(1e4, 1.0).cell_means(10**6)
+    assert np.max(np.abs(far - (1e4 + near))) <= 1e4 * np.finfo(float).eps
 
 
 # -- first moments: every mean and cell mean comes from the partial integral QI --
@@ -531,6 +655,15 @@ def test_lognormal_quantile_integral_against_quadrature(mu, sigma):
         upper = quad(x_density, -z, math.inf, epsabs=0.0, epsrel=1e-12, limit=200)[0]
         assert law.quantile_integral(p) == pytest.approx(lower, rel=1e-12)
         assert law.quantile_integral_comp(p) == pytest.approx(upper, rel=1e-12)
+
+
+def test_a_lognormal_base_is_any_law_of_standard_shape_normal():
+    law = ExpTransformed(Affine(Normal(0.0, 1.0), 2.0, 3.0))  # exp(2 + 3 Z)
+    assert law.mean() == ExpTransformed(Normal(2.0, 3.0)).mean() == math.exp(2.0 + 0.5 * 9.0)
+    p = np.array([1e-6, 0.3, 0.5, 0.9])
+    assert np.array_equal(
+        law.quantile_integral(p), ExpTransformed(Normal(2.0, 3.0)).quantile_integral(p)
+    )
 
 
 def test_a_lognormal_mean_beyond_float_range_is_a_numerical_error():

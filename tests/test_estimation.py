@@ -16,6 +16,7 @@ from qtcorr.bivariate import (
 )
 from qtcorr.correlation import beta_h, named_transform
 from qtcorr.distributions import (
+    Affine,
     Empirical,
     Exponential,
     Logistic,
@@ -546,6 +547,17 @@ def test_estimate_beta_h_reads_y_only_through_its_ranks(h):
         assert got == want
 
 
+@pytest.mark.parametrize("h", _ORACLE_LAWS + [Normal(0.0, 1.0)], ids=lambda h: h.name)
+def test_estimate_beta_h_is_free_of_an_affine_map_of_h(h):
+    for x, y in (*_tied_columns(), *_mixed_columns()):
+        sample = PairedSample(x, y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = estimate_beta_h(sample, h)
+            for a, b in ((1e6, 3.0), (-2.5, 1e-3), (1e12, 1e4)):
+                assert abs(estimate_beta_h(sample, Affine(h, a, b)) - want) <= 1e-14
+
+
 def test_plug_ins_are_location_invariant():
     for x, y in _tied_columns():
         near, far = _sweep(PairedSample(x, y)), _sweep(PairedSample(x + 1e4, y))
@@ -631,8 +643,12 @@ _CELL_SIZES = [3, 4, 5, 1000, 10**5 + 1]
 
 
 @pytest.mark.parametrize("n", _CELL_SIZES)
-@pytest.mark.parametrize("h", _INVARIANCE_LAWS, ids=lambda h: h.name)
+@pytest.mark.parametrize(
+    "h", _INVARIANCE_LAWS + [Normal(1e4, 2.0), Affine(Pareto(0.5), -3.0, 0.5)], ids=lambda h: h.name
+)
 def test_streamed_cells_are_cell_means_bit_for_bit(h, n):
+    # the estimators stream H's standard shape (a located H scales their dots once)
+    h = h.standard_form[0]
     grid = h.cell_means(n)
     cells = np.full(n, np.nan)
     blocks = _cell_blocks(h, n)

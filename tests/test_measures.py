@@ -567,3 +567,55 @@ def test_equal_size_empirical_pair_integral_is_the_mean_product_of_sorted_values
     for a, b in ((f, g), (f, f)):
         want = math.fsum(a.values * b.values) / n
         assert abs(_empirical_pair_integral(a, b) - want) <= 2 * np.spacing(want)
+
+
+# -- location cancels and scale factors out ---------------------------------------
+
+_CATALOG = [
+    Uniform(0.0, 1.0),
+    Uniform(-2.0, 5.0),
+    Exponential(1.0),
+    Exponential(2.5),
+    Logistic(0.0, 1.0),
+    Logistic(1.5, 0.7),
+    Normal(0.0, 1.0),
+    Normal(2.0, 3.0),
+    Weibull(1.0, 0.5),
+    Weibull(2.0, 1.3),
+    Laplace(-1.0, 2.0),
+    Gumbel(1.0, 0.5),
+    Pareto(0.5),
+    Pareto(0.8),
+    Power(1.5),
+    Power(4.0 / 3.0),
+]
+
+
+@pytest.mark.parametrize("mu", [0.0, -3.5, 1e4, 1e7, -1e15, 1e15])
+@pytest.mark.parametrize("sigma", [0.5, 2.0, 3.0])
+def test_normal_variance_is_free_of_location(mu, sigma):
+    # invariance, not the exact sigma^2: quadrature gives 0.9999999999999988 at (0, 1)
+    want = sigma**2 * g_covariance(Normal(0.0, 1.0), Normal(0.0, 1.0))
+    assert abs(g_covariance(Normal(mu, sigma), Normal(mu, sigma)) - want) <= 4 * np.spacing(want)
+
+
+@pytest.mark.parametrize("f", _CATALOG, ids=repr)
+def test_g_covariance_of_an_affine_image_is_scale_times_the_covariance(f):
+    for g in (Exponential(1.0), Normal(2.0, 0.5)):
+        base = g_covariance(f, g)
+        for shift in (-1e12, -3.5, 0.0, 1e12):
+            for scale in (0.25, 7.0):
+                got = g_covariance(Affine(f, shift, scale), g)
+                assert abs(got - scale * base) <= 1e-15 * abs(scale * base)
+
+
+def test_laws_of_one_standard_shape_share_one_memo_entry(monkeypatch):
+    calls = _engine_calls(monkeypatch)
+    _quadrature_memo.cache_clear()
+    near = g_covariance(Normal(0.0, 2.0), Exponential(1.0))
+    assert calls
+    calls.clear()
+    far = g_covariance(Normal(5.0, 2.0), Exponential(4.0))
+    assert far == near / 4.0 and calls == []
+    assert _quadrature_memo.cache_info().currsize == 1
+    _quadrature_memo.cache_clear()
