@@ -89,6 +89,6 @@ from .measures import (
     log_odds_covariance,
     record_mean_gap,
 )
-from .tables import TABLE_IDS, TableCell, TableSpec, run_table
+from .tables import TABLE_IDS, TableCell, run_table
 
 __version__ = "0.1.0"

@@ -72,7 +72,7 @@ class Copula:
         """C(u, v) - u v with exact complements uc = 1-u, vc = 1-v."""
         raise NotImplementedError
 
-    def dependence_integral(self, weight_u, weight_v, abs_tol: float, tail_eps: float) -> float:
+    def dependence_integral(self, weight_u, weight_v, abs_tol: float) -> float:
         """integral of excess(u, v) qd_wu(u) qd_wv(v) over the unit square, in 2-D."""
         if self.independent:
             return 0.0
@@ -82,7 +82,7 @@ class Copula:
             v, vc, wv = _tail_aware(weight_v, pv, upper_v)
             return self.excess(u, uc, v, vc) * wu * wv
 
-        return unit_integral_2d(g2, abs_tol, tail_eps)
+        return unit_integral_2d(g2, abs_tol)
 
     def cdf(self, u, v):
         u = np.asarray(u, dtype=float)
@@ -145,9 +145,9 @@ class FGM(Copula):
     def excess(self, u, uc, v, vc):
         return self.gamma * u * uc * v * vc
 
-    def dependence_integral(self, weight_u, weight_v, abs_tol, tail_eps):
+    def dependence_integral(self, weight_u, weight_v, abs_tol):
         # integral u(1-u) qd_A(u) du = GMD(A) / 2 = 2 Cov(A, U): two memoised 1-D integrals
-        cfg = IntegrationConfig(abs_tol=abs_tol, tail_eps=tail_eps)
+        cfg = IntegrationConfig(abs_tol=abs_tol)
         unit = Uniform(0.0, 1.0)
         cov_u, cov_v = g_covariance(weight_u, unit, cfg), g_covariance(weight_v, unit, cfg)
         return 4.0 * self.gamma * cov_u * cov_v

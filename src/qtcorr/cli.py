@@ -30,7 +30,7 @@ from .distributions import parse_distribution
 from .errors import DomainError, NumericalError
 from .estimation import estimate_beta_h, estimate_named, load_pairs_csv
 from .measures import IntegrationConfig
-from .tables import DEFAULT_TABLE_TOL, TABLE_IDS, TableSpec
+from .tables import DEFAULT_TABLE_TOL, TABLE_IDS, run_table
 
 _NAMED_ESTIMATORS = ("pearson", "gini", "egini", "or_based", "cre_based", "rho_t")
 
@@ -65,8 +65,9 @@ def _csv_text(header, rows) -> str:
 
 def _config(args) -> IntegrationConfig:
     # only the flags given: the defaults live in IntegrationConfig alone
+    method = getattr(args, "method", None)  # decompose has no --method
     given = {
-        "method": "monte_carlo" if args.method == "mc" else args.method,
+        "method": "monte_carlo" if method == "mc" else method,
         "abs_tol": args.quad_tol,
         "mc_samples": args.samples,
         "seed": args.seed,
@@ -76,7 +77,7 @@ def _config(args) -> IntegrationConfig:
 
 def _cmd_table(args) -> int:
     tol = args.tol if args.tol is not None else DEFAULT_TABLE_TOL
-    cells, ok = TableSpec(args.table_id, tol=tol, cfg=_config(args)).run()
+    cells, ok = run_table(args.table_id, _config(args), tol)
     if args.format == "json":
         payload = {
             "table": args.table_id,
@@ -216,9 +217,10 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", default=None, help="output path (default stdout)")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, method: bool = True) -> None:
     _add_output(parser)
-    parser.add_argument("--method", choices=("quadrature", "mc"))
+    if method:  # decompose always samples its shares and integrates its terms
+        parser.add_argument("--method", choices=("quadrature", "mc"))
     parser.add_argument(
         "--quad-tol", type=float, default=None, help="quadrature absolute tolerance"
     )
@@ -258,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec = sub.add_parser("decompose", help="standby-system variability decomposition")
     p_dec.add_argument("--components", required=True, help="comma-separated margin specs")
     p_dec.add_argument("--g", required=True, help="target law spec")
-    _add_common(p_dec)
+    _add_common(p_dec, method=False)
     p_dec.set_defaults(fn=_cmd_decompose)
     return parser
 

@@ -32,7 +32,7 @@ estimator on the pairs (x, y), or (y, x) for the reversed index; rho_t does
 when the margins differ, and is pearson when they are equal, as under
 quadrature.
 Quadrature values also pass through the process-wide memo of
-:mod:`qtcorr.measures`, keyed on (copula, weight laws, abs_tol, tail_eps).
+:mod:`qtcorr.measures`, keyed on (copula, weight laws, abs_tol).
 """
 
 from __future__ import annotations
@@ -57,10 +57,9 @@ from .measures import DEFAULT_CONFIG, IntegrationConfig, _once, g_covariance
 
 @dataclass(frozen=True)
 class CorrelationSpec:
-    """A transform law H together with the name it answers to."""
+    """The transform law H of an index beta_H."""
 
     h: Distribution
-    label: str = "custom"
 
 
 _NAMED_LABELS = ("cre_based", "or_based", "gini", "egini")
@@ -72,18 +71,17 @@ def named_transform(label: str, nu: float | None = None) -> CorrelationSpec:
     if nu is not None and key != "egini":
         raise DomainError(f"the weight nu applies only to egini, not to {label!r}")
     if key == "cre_based":
-        return CorrelationSpec(Exponential(1.0), "cre_based")
+        return CorrelationSpec(Exponential(1.0))
     if key == "or_based":
-        return CorrelationSpec(Logistic(0.0, 1.0), "or_based")
+        return CorrelationSpec(Logistic(0.0, 1.0))
     if key == "gini":
-        return CorrelationSpec(Uniform(0.0, 1.0), "gini")
+        return CorrelationSpec(Uniform(0.0, 1.0))
     if key == "egini":
         if nu is None:
             raise DomainError("egini requires the weight parameter nu")
         if nu == 1.0 or nu <= 0.0:
             raise DomainError(f"egini weight must be positive and != 1, got {nu}")
-        law = Pareto(nu) if nu < 1.0 else Power(nu)
-        return CorrelationSpec(law, f"egini({nu:g})")
+        return CorrelationSpec(Pareto(nu) if nu < 1.0 else Power(nu))
     raise DomainError(f"unknown index label {label!r}; expected one of {_NAMED_LABELS}")
 
 

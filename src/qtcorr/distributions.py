@@ -607,11 +607,15 @@ class Affine(Distribution):
 
 @dataclass(frozen=True)
 class Reflected(Distribution):
-    """Law of -X."""
+    """Law of -X; of a located X = loc + s Z, the located reflection -loc + s (-Z)."""
 
     base: Distribution = None  # type: ignore[assignment]
 
     def __post_init__(self):
+        z, loc, scale = self.base.standard_form
+        if z is not self.base:  # Z is a standard shape, so Reflected(z) keeps no map
+            self._locate(-loc, scale, Reflected(z))
+            return
         lo, hi = self.base.support
         c = self.base.symmetry_center
         object.__setattr__(self, "support", (-hi, -lo))

@@ -16,7 +16,7 @@ Location cancels and scale factors out: g(F, G) = s_F s_G g(F0, G0) on the
 laws' standard shapes.  Each distinct quadrature integral is computed once per
 process: one ``lru_cache`` of 1024 floats, ``_quadrature_memo``, shared with
 ``correlation.dependence_integral``, keys ``g_covariance`` on the unordered
-pair of standard shapes plus (abs_tol, tail_eps), never the method or seed.
+pair of standard shapes plus abs_tol, never the method or seed.
 Keys hold only hashable dataclass laws of numbers, so no array data (no
 ``Empirical`` law) is retained; errors are not cached.  Tests reset it with
 ``cache_clear``.
@@ -50,16 +50,14 @@ class IntegrationConfig:
     """Numerical policy shared by every measure and correlation routine.
 
     method      -- "quadrature" or "monte_carlo"
-    abs_tol     -- absolute tolerance target of adaptive quadrature on standard shapes
-    tail_eps    -- truncation parameter of the tail-transformed integrals;
-                   halving it must not move any result by abs_tol or more
+    abs_tol     -- absolute tolerance target of adaptive quadrature on standard shapes;
+                   halving the engine's tail truncation must not move a result by as much
     mc_samples  -- Monte Carlo sample count
     seed        -- base seed; operations derive child streams from it
     """
 
     method: str = "quadrature"
     abs_tol: float = 1e-8
-    tail_eps: float = 1e-9
     mc_samples: int = 10**6
     seed: int = 42
 
@@ -68,8 +66,6 @@ class IntegrationConfig:
             raise DomainError(f"unknown method {self.method!r}")
         if not self.abs_tol > 0.0:
             raise DomainError("abs_tol must be positive")
-        if not 0.0 < self.tail_eps < 1e-3:
-            raise DomainError("tail_eps must lie in (0, 1e-3)")
         if self.mc_samples < 10**3:
             raise DomainError("mc_samples must be at least 1000")
 
@@ -91,10 +87,10 @@ def _quadrature_memo(integral, *key) -> float:
 
 
 def _once(integral, args, cfg: IntegrationConfig) -> float:
-    """integral(*args, abs_tol, tail_eps), integrated once per process when args are by value."""
+    """integral(*args, abs_tol), integrated once per process when args are by value."""
     if all(map(_by_value, args)):
-        return _quadrature_memo(integral, *args, cfg.abs_tol, cfg.tail_eps)
-    return integral(*args, cfg.abs_tol, cfg.tail_eps)
+        return _quadrature_memo(integral, *args, cfg.abs_tol)
+    return integral(*args, cfg.abs_tol)
 
 
 def _is_degenerate(d: Distribution) -> bool:
@@ -154,13 +150,13 @@ def g_covariance(
     return sf * sg * (raw - f.mean() * g.mean())
 
 
-def _coupled_quadrature(f, g, abs_tol: float, tail_eps: float) -> float:
+def _coupled_quadrature(f, g, abs_tol: float) -> float:
     def integrand(p, upper):
         if upper:
             return f.quantile_comp(p) * g.quantile_comp(p)
         return f.quantile(p) * g.quantile(p)
 
-    return unit_integral(integrand, abs_tol, tail_eps) - f.mean() * g.mean()
+    return unit_integral(integrand, abs_tol) - f.mean() * g.mean()
 
 
 def gmd(f: Distribution, cfg: IntegrationConfig = DEFAULT_CONFIG) -> float:

@@ -17,7 +17,8 @@ Each axis splits at 1/2 and both tails are mapped through u = s**4 (resp.
 1 - u = s**4), which flattens every algebraic endpoint singularity here
 (the worst is (1-u)**(-3/2) from heavy-tailed quantile densities) into a
 bounded integrand.  Each of the 2**d orthants runs the main box
-[s0, s_half]**d, with s0 = ``tail_eps`` and s_half = 2**(-1/4), at
+[s0, s_half]**d, with s0 = ``_TAIL_EPS`` = 1e-9 (an engine constant, like the
+budgets) and s_half = 2**(-1/4), at
 abs_tol / 2**d.  Its collar, the region that halving the truncation adds,
 is every product of per-axis sides {[s0 s_half, s0], [s0, s_half]} but the
 all-main one, each run at abs_tol / 2**(d+1).  A collar contribution at or
@@ -208,6 +209,7 @@ def integrate_2d(
 
 
 _TAIL_POWER = 4
+_TAIL_EPS = 1e-9  # s0: the truncation is u in [s0**4, 1 - s0**4]
 _S_HALF = 0.5 ** (1.0 / _TAIL_POWER)  # s value mapping to u = 1/2
 
 
@@ -225,12 +227,12 @@ def _orthant_integrand(g, uppers: tuple):
     return f
 
 
-def _unit_cube(g, d: int, abs_tol: float, tail_eps: float) -> float:
+def _unit_cube(g, d: int, abs_tol: float) -> float:
     """Integrate ``g`` over (0, 1)**d with per-axis tail substitution."""
     engine = (integrate, integrate_2d)[d - 1]  # looked up per call: tracers patch them
     budget, init = _COLLAR[d]
-    main = (tail_eps, _S_HALF)
-    collar_side = (tail_eps * _S_HALF, tail_eps)
+    main = (_TAIL_EPS, _S_HALF)
+    collar_side = (_TAIL_EPS * _S_HALF, _TAIL_EPS)
     total = collar = collar_err = 0.0
     for uppers in itertools.product((False, True), repeat=d):
         f = _orthant_integrand(g, uppers)
@@ -251,30 +253,25 @@ def _unit_cube(g, d: int, abs_tol: float, tail_eps: float) -> float:
     return total + collar
 
 
-def unit_integral(
-    g: Callable[[np.ndarray, bool], np.ndarray],
-    abs_tol: float,
-    tail_eps: float,
-) -> float:
+def unit_integral(g: Callable[[np.ndarray, bool], np.ndarray], abs_tol: float) -> float:
     """Integrate ``g`` over the unit interval with tail substitution.
 
     ``g(p, upper)`` must return the integrand at u = p when ``upper`` is
     False and at u = 1 - p when True, so callers can evaluate both tails
     without forming 1 - u in floating point.  The effective truncation is
-    u within [tail_eps**4, 1 - tail_eps**4]; a collar that halving it adds
+    u within [_TAIL_EPS**4, 1 - _TAIL_EPS**4]; a collar that halving it adds
     at or above ``abs_tol`` raises (the integral is tail-sensitive).
     """
-    return _unit_cube(g, 1, abs_tol, tail_eps)
+    return _unit_cube(g, 1, abs_tol)
 
 
 def unit_integral_2d(
     g2: Callable[[np.ndarray, bool, np.ndarray, bool], np.ndarray],
     abs_tol: float,
-    tail_eps: float,
 ) -> float:
     """Integrate ``g2`` over the unit square with per-axis tail substitution.
 
     ``g2(pu, upper_u, pv, upper_v)`` mirrors :func:`unit_integral` on each
     axis, and the same collar check applies.
     """
-    return _unit_cube(g2, 2, abs_tol, tail_eps)
+    return _unit_cube(g2, 2, abs_tol)

@@ -24,6 +24,7 @@ from .bivariate import AMH, BivariateModel, FGM, GumbelBarnett
 from .correlation import (
     beta_h,
     beta_h_reversed,
+    fgm_beta_closed_form,
     named_transform,
     pearson,
     rho_t,
@@ -45,29 +46,7 @@ from .distributions import (
 from .errors import DomainError, NumericalError
 from .measures import DEFAULT_CONFIG, IntegrationConfig
 
-TABLE_IDS = ("fgm-rhot", "fgm-beta", "exchangeable", "nonexchangeable", "symmetric")
-
 DEFAULT_TABLE_TOL = 5e-4
-
-
-@dataclass(frozen=True)
-class TableSpec:
-    """A table request: fixed cell layout id plus comparison/numeric policy."""
-
-    table_id: str
-    tol: float = DEFAULT_TABLE_TOL
-    cfg: IntegrationConfig = DEFAULT_CONFIG
-
-    def __post_init__(self):
-        if self.table_id not in TABLE_IDS:
-            raise DomainError(
-                f"unknown table id {self.table_id!r}; expected one of {TABLE_IDS}"
-            )
-        if not self.tol > 0.0:
-            raise DomainError("table tolerance must be positive")
-
-    def run(self) -> tuple[list["TableCell"], bool]:
-        return run_table(self.table_id, self.cfg, self.tol)
 
 # Margins are location-scale normalized representatives; both indices in
 # the fgm-rhot grid are location-scale invariant so the choice is free.
@@ -280,8 +259,6 @@ def _fgm_rhot_cells(cfg):
 
 
 def _fgm_beta_cells(cfg):
-    from .correlation import fgm_beta_closed_form
-
     cells = []
     for row in _BETA_MARGIN_ORDER:
         for col in _FGM_BETA_COLS:
@@ -337,6 +314,21 @@ def _symmetric_cells(cfg):
     return cells
 
 
+# Each table id's cell builder, in the layout order of the ids.
+_TABLES = {
+    "fgm-rhot": _fgm_rhot_cells,
+    "fgm-beta": _fgm_beta_cells,
+    "exchangeable": lambda cfg: _bound_cells(
+        EXCHANGEABLE_PANELS, EXCHANGEABLE_REF, ("pearson",) + _INDEX_ORDER, cfg
+    ),
+    "nonexchangeable": lambda cfg: _bound_cells(
+        NONEXCHANGEABLE_PANELS, NONEXCHANGEABLE_REF, ("pearson", "rho-t") + _INDEX_ORDER, cfg
+    ),
+    "symmetric": _symmetric_cells,
+}
+TABLE_IDS = tuple(_TABLES)
+
+
 def run_table(
     table_id: str,
     cfg: IntegrationConfig = DEFAULT_CONFIG,
@@ -345,29 +337,11 @@ def run_table(
     """Compute every cell of a reference table.
 
     Returns the cells in fixed layout order together with a flag that is
-    True when every |computed - reference| is within ``tol``.
+    True when every |computed - reference| is within ``tol`` (> 0).
     """
-    if table_id == "fgm-rhot":
-        cells = _fgm_rhot_cells(cfg)
-    elif table_id == "fgm-beta":
-        cells = _fgm_beta_cells(cfg)
-    elif table_id == "exchangeable":
-        cells = _bound_cells(
-            EXCHANGEABLE_PANELS,
-            EXCHANGEABLE_REF,
-            ("pearson",) + _INDEX_ORDER,
-            cfg,
-        )
-    elif table_id == "nonexchangeable":
-        cells = _bound_cells(
-            NONEXCHANGEABLE_PANELS,
-            NONEXCHANGEABLE_REF,
-            ("pearson", "rho-t") + _INDEX_ORDER,
-            cfg,
-        )
-    elif table_id == "symmetric":
-        cells = _symmetric_cells(cfg)
-    else:
+    if table_id not in _TABLES:
         raise DomainError(f"unknown table id {table_id!r}; expected one of {TABLE_IDS}")
-    ok = all(cell.diff <= tol for cell in cells)
-    return cells, ok
+    if not tol > 0.0:
+        raise DomainError("table tolerance must be positive")
+    cells = _TABLES[table_id](cfg)
+    return cells, all(cell.diff <= tol for cell in cells)

@@ -329,12 +329,12 @@ def test_criterion_11_estimator_tracks_quadrature():
     worst_sig = 0.0
     for model, seed in panels:
         sample = model.sample(n, seed=seed)
-        for index in ("pearson",) + tuple(s.label for s in NAMED):
-            if index == "pearson":
+        for index in range(-1, len(NAMED)):  # pearson, then NAMED by position
+            if index < 0:
                 truth = pearson(model)
                 estimator = lambda s: estimate_named(s, "pearson")
             else:
-                spec = next(s for s in NAMED if s.label == index)
+                spec = NAMED[index]
                 truth = beta_h(model, spec)
                 estimator = lambda s, h=spec.h: estimate_beta_h(s, h)
             est = estimator(sample)

@@ -14,7 +14,7 @@ import pytest
 
 import qtcorr
 from qtcorr.cli import main
-from qtcorr.errors import NumericalError
+from qtcorr.errors import DomainError, NumericalError
 from qtcorr.tables import _cell
 
 
@@ -159,14 +159,26 @@ def test_tol_is_only_the_table_comparison_tolerance(capsys):
                    "--tol", "1e-6")[0] == 1
 
 
-def test_table_spec_takes_the_tolerance_second():
-    import dataclasses
+def test_run_table_refuses_a_bad_tolerance_or_id(capsys):
+    from qtcorr.tables import run_table
 
-    from qtcorr.tables import DEFAULT_TABLE_TOL, TableSpec
+    for tol in (0.0, -1.0, float("nan")):
+        with pytest.raises(DomainError, match="tolerance"):
+            run_table("fgm-beta", tol=tol)
+    with pytest.raises(DomainError, match="no-such-table"):
+        run_table("no-such-table")
+    code, out, err = run_cli(capsys, "table", "fgm-beta", "--tol", "0")
+    assert (code, out) == (1, "") and "tolerance must be positive" in err
 
-    assert TableSpec("fgm-beta", 1e-3).tol == 1e-3
-    assert TableSpec("fgm-beta").tol == DEFAULT_TABLE_TOL
-    assert [f.name for f in dataclasses.fields(TableSpec)] == ["table_id", "tol", "cfg"]
+
+def test_decompose_has_no_method_flag(capsys):
+    # its shares are always sampled and its terms always integrated
+    code, out, err = run_cli(capsys, "decompose", "--components", "exp:1", "--g", "exp:1",
+                             "--method", "mc")
+    assert (code, out) == (1, "") and "unrecognized arguments: --method mc" in err
+    for command in ("table", "corr"):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0 and "--method" in out
 
 
 def test_table_csv_and_exit_codes(capsys, tmp_path):

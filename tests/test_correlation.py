@@ -70,8 +70,8 @@ NAMED = [
     named_transform("egini", 3.0),
 ]
 SYMMETRIC_H = [
-    CorrelationSpec(Uniform(0, 1), "gini"),
-    CorrelationSpec(Logistic(0, 1), "or_based"),
+    CorrelationSpec(Uniform(0, 1)),
+    CorrelationSpec(Logistic(0, 1)),
     CorrelationSpec(Normal(0, 1)),
     CorrelationSpec(Laplace(0, 1)),
 ]
@@ -87,6 +87,13 @@ def test_named_transform_bindings():
         named_transform("egini")
     with pytest.raises(DomainError):
         named_transform("kendall")
+
+
+def test_a_named_spec_is_the_spec_of_its_law():
+    assert [f.name for f in dataclasses.fields(CorrelationSpec)] == ["h"]
+    assert named_transform("gini") == CorrelationSpec(Uniform(0.0, 1.0))
+    assert named_transform("egini", 0.5) == CorrelationSpec(Pareto(0.5))
+    assert named_transform("egini", 3.0) == CorrelationSpec(Power(3.0))
 
 
 def test_a_weight_is_refused_by_every_index_but_egini():
@@ -258,7 +265,7 @@ def test_fgm_product_form_matches_the_2d_quadrature(gamma):
     cfg = IntegrationConfig()
     for a in (Weibull(1, 2), Exponential(1)):
         for spec in NAMED:
-            want = Copula.dependence_integral(FGM(gamma), a, spec.h, cfg.abs_tol, cfg.tail_eps)
+            want = Copula.dependence_integral(FGM(gamma), a, spec.h, cfg.abs_tol)
             assert dependence_integral(FGM(gamma), a, spec.h) == pytest.approx(want, abs=1e-9)
 
 
@@ -771,6 +778,13 @@ def test_a_shifted_margin_leaves_pearson_alone():
     shifted = BivariateModel(GumbelBarnett(1.0), Affine(Exponential(1.0), 1e7, 1.0), Weibull(1, 2))
     plain = BivariateModel(GumbelBarnett(1.0), Exponential(1.0), Weibull(1, 2))
     assert abs(pearson(shifted) - pearson(plain)) <= 1e-12
+
+
+def test_reflecting_a_shifted_margin_negates_pearson_exactly():
+    # -(1e7 + Z) is -1e7 + (-Z): the reflection keeps the location out of every integral
+    plain = BivariateModel(GumbelBarnett(1.0), Normal(0.0, 1.0), Weibull(1, 2))
+    shifted = BivariateModel(GumbelBarnett(1.0), Normal(1e7, 1.0), Weibull(1, 2))
+    assert pearson(reflect_x(shifted)) == -pearson(plain)
 
 
 @pytest.mark.parametrize("h", [Exponential(1.0), Logistic(0.0, 1.0), Pareto(0.4), Uniform()])

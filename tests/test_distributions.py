@@ -455,6 +455,7 @@ _LOCATED = [  # (law, its standard shape Z, loc, scale): the law of loc + scale 
     (Affine(Normal(1.0, 2.0), 3.0, 4.0), Normal(0.0, 1.0), 7.0, 8.0),
     (Affine(Pareto(0.8), -1.0, 0.5), Pareto(0.8), -1.0, 0.5),
     (Affine(Exponential(1.0), 0.0, 1.0), Exponential(1.0), 0.0, 1.0),
+    (Reflected(Normal(2.0, 1.0)), Reflected(Normal(0.0, 1.0)), -2.0, 1.0),
 ]
 
 
@@ -483,7 +484,7 @@ def test_a_located_law_is_its_standard_shape_under_one_affine_map(law, shape, lo
 @pytest.mark.parametrize(
     "law",
     [Uniform(0, 1), Exponential(1), Logistic(0, 1), Normal(0, 1), Weibull(1, 0.5), Laplace()]
-    + [Gumbel(), Pareto(0.5), Power(3.0), Reflected(Normal(2, 1)), ExpTransformed(Normal())]
+    + [Gumbel(), Pareto(0.5), Power(3.0), Reflected(Normal()), ExpTransformed(Normal())]
     + [Empirical([1.0, 2.0, 4.0])],
     ids=repr,
 )

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
+from qtcorr import quadrature
 from qtcorr.errors import NumericalError
 from qtcorr.quadrature import (
     WG7,
@@ -55,7 +56,7 @@ def test_known_integrals():
 
 
 def test_unit_integral_plain():
-    got = unit_integral(lambda p, upper: (1.0 - p) if upper else p, 1e-10, 1e-9)
+    got = unit_integral(lambda p, upper: (1.0 - p) if upper else p, 1e-10)
     assert abs(got - 0.5) < 1e-12
 
 
@@ -65,7 +66,7 @@ def test_unit_integral_algebraic_singularity():
     def g(p, upper):
         return p**-0.5 if upper else (1.0 - p) ** -0.5
 
-    assert abs(unit_integral(g, 1e-10, 1e-9) - 2.0) < 1e-9
+    assert abs(unit_integral(g, 1e-10) - 2.0) < 1e-9
 
 
 def test_unit_integral_log_times_singularity():
@@ -75,19 +76,20 @@ def test_unit_integral_log_times_singularity():
             return (-np.log(p)) ** 2 * p**-0.5
         return (-np.log1p(-p)) ** 2 * (1.0 - p) ** -0.5
 
-    assert abs(unit_integral(g, 1e-9, 1e-9) - 16.0) < 1e-8
+    assert abs(unit_integral(g, 1e-9) - 16.0) < 1e-8
 
 
-def test_unit_integral_detects_divergence():
+def test_unit_integral_detects_divergence(monkeypatch):
     def g(p, upper):
         return 1.0 / p if upper else 1.0 / (1.0 - p)
 
     with pytest.raises(NumericalError, match="tail-sensitive"):
-        unit_integral(g, 1e-9, 1e-9)
+        unit_integral(g, 1e-9)
     # the same singularity along u, flat along v; a coarse truncation keeps the
     # main boxes cheap, since they are split across their longest side
+    monkeypatch.setattr(quadrature, "_TAIL_EPS", 1e-3)
     with pytest.raises(NumericalError, match="tail-sensitive"):
-        unit_integral_2d(lambda pu, uu, pv, vv: g(pu, uu) + 0.0 * pv, 1e-6, 1e-3)
+        unit_integral_2d(lambda pu, uu, pv, vv: g(pu, uu) + 0.0 * pv, 1e-6)
 
 
 def test_unit_integral_rejects_nan():
@@ -95,9 +97,9 @@ def test_unit_integral_rejects_nan():
         return np.full_like(p, np.nan)
 
     with pytest.raises(NumericalError, match="non-finite"):
-        unit_integral(g, 1e-9, 1e-9)
+        unit_integral(g, 1e-9)
     with pytest.raises(NumericalError, match="non-finite"):
-        unit_integral_2d(lambda pu, uu, pv, vv: g(pu, uu), 1e-9, 1e-9)
+        unit_integral_2d(lambda pu, uu, pv, vv: g(pu, uu), 1e-9)
 
 
 def test_integrate_2d_product():
@@ -120,7 +122,7 @@ def test_unit_integral_2d_separable_singular():
         return a * b
 
     want = (1.0 / 0.75) * 2.0
-    assert abs(unit_integral_2d(g2, 1e-8, 1e-9) - want) < 1e-7
+    assert abs(unit_integral_2d(g2, 1e-8) - want) < 1e-7
 
 
 def test_unit_integral_2d_kinked_integrand():
@@ -131,7 +133,7 @@ def test_unit_integral_2d_kinked_integrand():
         return np.minimum(u, v)
 
     want = quad(lambda u: u * (1 - u) + u * u / 2.0, 0, 1)[0]  # = 1/3
-    assert abs(unit_integral_2d(g2, 1e-9, 1e-9) - want) < 1e-8
+    assert abs(unit_integral_2d(g2, 1e-9) - want) < 1e-8
 
 
 def test_integrate_budget_exhaustion_raises():
