@@ -8,34 +8,28 @@ exactly into per-component shares,
     C(T, Y) = sum_i beta_G(X_i, T) * C(X_i, Y),
 
 with every share coefficient in [0, 1].  T has no closed-form law in
-general, so a seeded Monte Carlo convolution sample stands for it: each
-coefficient is the plug-in estimator of beta_G on the pairs (x_i, t), all
-numerators from one sort of t and one pass of G's rank cells, system measures
-integrate its empirical law (Var(T), of two equal-size step laws, is one dot of
-the sorted values), component measures come from quadrature and standard
-errors are 10 batch means.
+general, so a seeded Monte Carlo convolution sample, drawn once per (system,
+n, seed) for both reports, stands for it.  Its system-side numbers take the
+estimators' rank-cell route, sorted centred columns in one pass of a law's
+cells per column size: each coefficient is the plug-in estimator of beta_G
+on the pairs (x_i, t), system measures are T's empirical law against their
+weight laws, component measures come from quadrature and standard errors
+are 10 batch means.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bivariate import child_rng
-from .distributions import Distribution, Empirical
+from .distributions import Distribution, Exponential, Pareto, Power, Uniform, Weibull
 from .errors import DomainError
-from .estimation import _cell_dots, _coupled_cov, _run_sums, _sorted_runs
-from .measures import (
-    DEFAULT_CONFIG,
-    IntegrationConfig,
-    cre,
-    extended_gini,
-    g_covariance,
-    gcre,
-    gmd,
-)
+from .estimation import _coupled_dots, _dot, _run_sums, _sorted_column, _sorted_runs
+from .measures import DEFAULT_CONFIG, IntegrationConfig, g_covariance
 
 _N_BATCHES = 10
 
@@ -72,13 +66,20 @@ class DecompositionResult:
     mc_se: float  # batch-means standard error of mc_estimate
 
 
-def _component_samples(system: StandbySystem, n: int, seed: int) -> np.ndarray:
+@functools.lru_cache(maxsize=1)  # keyed on (system, n, seed); holds the last system's sample
+def _system_sample(system: StandbySystem, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The convolution sample, read-only: component draws, one row each, and their sum T."""
+    if n < _N_BATCHES * 100:
+        raise DomainError("mc_samples is too small for batch-means errors")
     rows = []
     for i, dist in enumerate(system.components):
         rng = child_rng(seed, f"decomposition.component.{i}")
         u = np.maximum(rng.random(n), 1e-300)
         rows.append(dist.quantile(u))
-    return np.vstack(rows)
+    xs = np.vstack(rows)
+    t = xs.sum(axis=0)
+    xs.flags.writeable = t.flags.writeable = False
+    return xs, t
 
 
 def decompose(
@@ -99,26 +100,26 @@ def decompose(
     if system.n == 1:
         c1 = c_terms[0]
         return DecompositionResult(((1.0, c1),), c1, c1, 0.0)
-    if mc_samples < _N_BATCHES * 100:
-        raise DomainError("mc_samples is too small for batch-means errors")
 
-    xs = _component_samples(system, mc_samples, seed)
-    t = xs.sum(axis=0)
+    xs, t = _system_sample(system, mc_samples, seed)
     order, _, bounds = _sorted_runs(t)
-    # each component and t in the order of t, centred: one pass of G's cells reads them all
-    columns = [(bounds, _run_sums(c[order] - c.mean(), bounds)) for c in (*xs, t)]
-    *nums, mc_estimate = (d / (mc_samples - 1) for d in _cell_dots(g, mc_samples, *columns))
+    # t and each component in the order of t, then each component and each batch of t
+    # sorted on its own, all centred: one pass of G's cells per column size reads them all
+    shares = [(bounds, _run_sums(c[order] - c.mean(), bounds)) for c in (t, *xs)]
+    batches = np.array_split(t, _N_BATCHES)
+    own = [_sorted_column(c) for c in (*xs, *batches)]
+    dots = _coupled_dots(g, shares + own)
+    k = system.n
+    mc_estimate, *covs = (d / (mc_samples - 1) for d in dots[: 2 * k + 1])
     betas = []
-    for i, num in enumerate(nums):
-        den = _coupled_cov(g, xs[i])
+    for i, (num, den) in enumerate(zip(covs[:k], covs[k:])):
         if not den > 0.0:
             raise DomainError(f"component {i} has a degenerate lifetime law")
         betas.append(num / den)
     total = float(np.dot(betas, c_terms))
 
     # batch-means error of mc_estimate, the independent plug-in estimate of C(T, Y)
-    batch = np.array_split(t, _N_BATCHES)
-    est_b = [_coupled_cov(g, tb) for tb in batch]
+    est_b = [d / (b.size - 1) for d, b in zip(dots[2 * k + 1 :], batches)]
     mc_se = float(np.std(est_b, ddof=1) / math.sqrt(_N_BATCHES))
     return DecompositionResult(
         tuple((float(b), float(c)) for b, c in zip(betas, c_terms)),
@@ -139,14 +140,14 @@ class SubadditivityRow:
     se: float  # batch-means standard error of the slack
 
 
-def _measure_set(cfg):
-    return (
-        ("cre", lambda d: cre(d, cfg)),
-        ("gcre2", lambda d: gcre(d, 2, cfg)),
-        ("gmd", lambda d: gmd(d, cfg)),
-        ("egini0.5", lambda d: extended_gini(d, 0.5, cfg)),
-        ("egini3", lambda d: extended_gini(d, 3.0, cfg)),
-    )
+# each measure as its weight terms (c, W), the sum of c * g(X, W), as measures.py writes it
+_MEASURES = (
+    ("cre", ((1.0, Exponential(1.0)),)),
+    ("gcre2", ((0.5, Weibull(1.0, 0.5)), (-1.0, Weibull(1.0, 1.0)))),
+    ("gmd", ((4.0, Uniform(0.0, 1.0)),)),
+    ("egini0.5", ((0.5, Pareto(0.5)),)),
+    ("egini3", ((3.0, Power(3.0)),)),
+)
 
 
 def subadditivity_report(
@@ -162,54 +163,35 @@ def subadditivity_report(
     weights 0.5 and 3.  System-side quantities ride on the empirical
     convolution law; slacks carry batch-means standard errors.
     """
+    comps = system.components
     if system.n == 1:
         # T is distributed exactly as the single component; every bound is
         # an equality and the analytic route applies.
-        comp = system.components[0]
-        var = g_covariance(comp, comp, cfg)
-        rows = [SubadditivityRow("var-bound", var, var, 0.0, 0.0)]
-        for name, fn in _measure_set(cfg):
-            value = fn(comp)
-            rows.append(SubadditivityRow(name, value, value, 0.0, 0.0))
-        return rows
+        g_of = functools.partial(g_covariance, comps[0], cfg=cfg)
+        rows = [("var-bound", g_of(comps[0]))]
+        rows += [(name, sum(c * g_of(w) for c, w in terms)) for name, terms in _MEASURES]
+        return [SubadditivityRow(name, value, value, 0.0, 0.0) for name, value in rows]
 
-    xs = _component_samples(system, mc_samples, seed)
-    t = xs.sum(axis=0)
-    t_law = Empirical(t)
-    batch_laws = [Empirical(tb) for tb in np.array_split(t, _N_BATCHES)]
+    _, t = _system_sample(system, mc_samples, seed)
+    columns = []  # T's full sample and its batches, each sorted once and centred
+    for c in (t, *np.array_split(t, _N_BATCHES)):
+        ordered = np.sort(c)
+        ordered -= ordered.mean()
+        columns.append((None, ordered))
+    sizes = np.array([w.size for _, w in columns])
+    # g(T, W) on the full sample, then on each batch: one pass of W's cells per column size
+    g_of_t = functools.cache(lambda w: np.array(_coupled_dots(w, columns)) / sizes)
 
-    def batched(fn):
-        return fn(t_law), [fn(d) for d in batch_laws]
+    def se(per_batch) -> float:
+        return float(np.std(per_batch, ddof=1) / math.sqrt(_N_BATCHES))
 
-    rows = []
     # Var(T) <= sum_i C(X_i, T): both sides depend on the system sample.
-    var_full, var_b = batched(lambda d: g_covariance(d, d, cfg))
-    rhs_full = 0.0
-    rhs_b = np.zeros(_N_BATCHES)
-    for comp in system.components:
-        full, per = batched(lambda d, c=comp: g_covariance(c, d, cfg))
-        rhs_full += full
-        rhs_b += np.array(per)
-    slack_b = rhs_b - np.array(var_b)
-    rows.append(
-        SubadditivityRow(
-            "var-bound",
-            var_full,
-            rhs_full,
-            rhs_full - var_full,
-            float(np.std(slack_b, ddof=1) / math.sqrt(_N_BATCHES)),
-        )
-    )
-    for name, fn in _measure_set(cfg):
-        rhs = sum(fn(comp) for comp in system.components)
-        lhs_full, lhs_b = batched(fn)
-        rows.append(
-            SubadditivityRow(
-                name,
-                lhs_full,
-                rhs,
-                rhs - lhs_full,
-                float(np.std(lhs_b, ddof=1) / math.sqrt(_N_BATCHES)),
-            )
-        )
+    var = np.array([_dot(w, w) for _, w in columns]) / sizes
+    shares = sum(g_of_t(comp) for comp in comps)
+    full = (float(x[0]) for x in (var, shares, shares - var))
+    rows = [SubadditivityRow("var-bound", *full, se((shares - var)[1:]))]
+    for name, terms in _MEASURES:
+        lhs = sum(c * g_of_t(w) for c, w in terms)
+        rhs = sum(sum(c * g_covariance(comp, w, cfg) for c, w in terms) for comp in comps)
+        rows.append(SubadditivityRow(name, float(lhs[0]), rhs, rhs - float(lhs[0]), se(lhs[1:])))
     return rows

@@ -17,8 +17,9 @@ the scale out of a covariance, which location leaves alone.  A law at (0, 1),
 and a law that is not location-scale, is its own standard shape and pays no
 map.  ``Affine`` is its base's standard shape under the composed map.
 
-QI is the one source of first moments: ``mean`` is QI(1) and ``cell_means``
-its increments; a law without an exact QI raises ``UnsupportedOperationError``.
+QI is the one source of first moments: ``mean`` is QI(1), and ``_cell_blocks``
+streams the cell means, its increments, splitting QI from QI_comp at n // 2 in that
+one place.  A law without an exact QI raises ``UnsupportedOperationError``.
 
 The special functions the laws need (Phi and its inverse, the logistic
 sigmoid, the regularised incomplete gamma function and E1) are numpy kernels
@@ -169,13 +170,15 @@ class Distribution:
 
     def cell_means(self, n: int) -> np.ndarray:
         """Mean quantile over each of n equal probability cells, n * dQI(k / n)."""
-        if self._map:  # the standard shape's cells, mapped after the differencing
-            z, loc, scale = self._map
+        z, loc, scale = self.standard_form
+        if z is not self:  # the standard shape's cells, mapped after the differencing
             return loc + scale * z.cell_means(n)
-        half = n // 2  # interior nodes only (QI(0) = 0), so the hooks take them unmasked
-        lower = np.diff(self.quantile_integral(np.arange(1.0, half + 1) / n), prepend=0.0)
-        upper = np.diff(self.quantile_integral_comp(np.arange(1.0, n - half + 1) / n), prepend=0.0)
-        return np.concatenate([lower, upper[::-1]]) * n
+        cells = np.empty(n)
+        blocks = _cell_blocks(self, n)
+        next(blocks)  # the mean over all cells
+        for k, masses in blocks:
+            cells[k : k + masses.size] = masses
+        return cells
 
     # -- law-specific hooks of the standard shape (arrays in, arrays out, interior points only) --
 
@@ -522,7 +525,13 @@ class Power(Distribution):
 
 
 class Empirical(Distribution):
-    """Step CDF of a finite sample; quantiles land on order statistics."""
+    """Step CDF of a finite sample; quantiles land on order statistics.
+
+    Its standard shape is the law of the values less their mean, so its QI and cells
+    difference a sum that carries no location; its own quantiles stay the stored values.
+    """
+
+    _standard = None  # (the centred law, mean, 1.0), built once
 
     def __init__(self, values):
         arr = np.sort(np.asarray(values, dtype=float))
@@ -532,6 +541,15 @@ class Empirical(Distribution):
             raise DomainError("Empirical requires finite observations")
         self._values = arr
         self.support = (float(arr[0]), float(arr[-1]))
+
+    @property
+    def standard_form(self) -> tuple[Distribution, float, float]:
+        if self._standard is None:  # sorted values less a constant stay sorted
+            z = object.__new__(Empirical)
+            z._values = self._values - self.mean()
+            z.support, z._standard = (float(z._values[0]), float(z._values[-1])), (z, 0.0, 1.0)
+            self._standard = (z, self.mean(), 1.0)
+        return self._standard
 
     def __repr__(self) -> str:
         # like the dataclass laws, a repr that names the law and not its address
@@ -754,6 +772,42 @@ def parse_distribution(text: str) -> Distribution:
 # ---------------------------------------------------------------------------
 
 _BLOCK = 16384  # elements per kernel pass: larger temporaries leave the cache
+
+
+def _cell_blocks(h: Distribution, n: int, edges: np.ndarray | None = None):
+    """Yield the mean over all n cells, then blocks (k, masses): n times the H^{-1} mass
+    between consecutive edges, for pieces k, k + 1, ...
+
+    Edges are sorted ints from 0 to n that include n // 2: QI reads them up to it and QI_comp
+    from it (never mu - QI_comp), one call per half.  Without edges each cell is a piece, in
+    blocks of _BLOCK cells, each half's top block first; ``cell_means`` is their assembly.
+    """
+    half, pieces = n // 2, n if edges is None else edges.size - 1
+    hooks = (h.quantile_integral, half), (h.quantile_integral_comp, n - half)
+    # an Empirical law re-sums all its values on every QI call: one block per half
+    step = _BLOCK if edges is None and not isinstance(h, Empirical) else n
+    if edges is not None:
+        cut = np.searchsorted(edges, half)
+        tied = edges[1 : cut + 1], n - edges[cut:-1][::-1]
+
+    def values(side, k):  # QI or QI_comp at the nodes of the block from piece k
+        qi, top = hooks[side]
+        return qi((np.arange(k + 1.0, min(k + step, top) + 1) if edges is None else tied[side]) / n)
+
+    # each half's top block; a single cell has no lower half, whose top is QI(0) = 0
+    tops = [values(s, (t - 1) // step * step) if t else [0.0] for s, (_, t) in enumerate(hooks)]
+    yield tops[0][-1] + tops[1][-1]  # QI(half / n) + QI_comp((n - half) / n)
+    for side, (_, top) in enumerate(hooks):  # the upper side runs down from cell n - 1
+        carry, done = 0.0, 0
+        for k in range(0, top, step):
+            q = tops[side] if k + step >= top else values(side, k)
+            masses = np.empty(q.size)
+            piece = masses[::-1] if side else masses
+            piece[0] = q[0] - carry
+            np.subtract(q[1:], q[:-1], out=piece[1:])
+            masses *= n
+            carry, done = q[-1], done + q.size
+            yield pieces - done if side else done - q.size, masses
 
 
 def _blockwise(kernel, x, *args):

@@ -22,8 +22,9 @@ are those of H's standard shape H0, since the centring cancels H's location:
 column takes its own route, also when only one of the two is tied: the
 tied columns read QI at their run edges only, and the untied ones share
 one stream of the cells in blocks of 16,384; no estimator builds the
-n-cell grid.  The Monte Carlo indices and the standby decomposition's
-shares are these estimators run on their drawn samples.
+n-cell grid.  It is the one route of every step law: the Monte Carlo indices
+are these estimators on their drawn samples, and ``g_covariance`` of a step law
+and the standby reports read sorted, centred columns the same way.
 
 Ties have zero probability under continuous laws but occur in real data:
 a tied run shares one value (the mean of its cells), and each plug-in
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _BLOCK, Distribution, Empirical
+from .distributions import _BLOCK, Distribution, Empirical, _cell_blocks
 from .errors import DegenerateError, DomainError
 
 
@@ -115,41 +116,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(blocks) + np.dot(a[m:], b[m:]))
 
 
-def _cell_blocks(h: Distribution, n: int, edges: np.ndarray | None = None):
-    """Yield the mean over all n cells, then blocks (k, masses): n times the H^{-1} mass
-    between consecutive edges, for pieces k, k + 1, ...
-
-    Edges are sorted ints from 0 to n that include n // 2: QI reads them up to it and QI_comp
-    from it (never mu - QI_comp), one call per half.  Without edges each cell is a piece, and
-    blocks of _BLOCK cells stream h.cell_means(n) bit for bit, each half's top block first.
-    """
-    half, pieces = n // 2, n if edges is None else edges.size - 1
-    hooks = (h.quantile_integral, half), (h.quantile_integral_comp, n - half)
-    # an Empirical law re-sums all its values on every QI call: one block per half
-    step = _BLOCK if edges is None and not isinstance(h, Empirical) else n
-    if edges is not None:
-        cut = np.searchsorted(edges, half)
-        tied = edges[1 : cut + 1], n - edges[cut:-1][::-1]
-
-    def values(side, k):  # QI or QI_comp at the nodes of the block from piece k
-        qi, top = hooks[side]
-        return qi((np.arange(k + 1.0, min(k + step, top) + 1) if edges is None else tied[side]) / n)
-
-    tops = [values(side, (top - 1) // step * step) for side, (_, top) in enumerate(hooks)]
-    yield tops[0][-1] + tops[1][-1]  # QI(half / n) + QI_comp((n - half) / n)
-    for side, (_, top) in enumerate(hooks):  # the upper side runs down from cell n - 1
-        carry, done = 0.0, 0
-        for k in range(0, top, step):
-            q = tops[side] if k + step >= top else values(side, k)
-            masses = np.empty(q.size)
-            piece = masses[::-1] if side else masses
-            piece[0] = q[0] - carry
-            np.subtract(q[1:], q[:-1], out=piece[1:])
-            masses *= n
-            carry, done = q[-1], done + q.size
-            yield pieces - done if side else done - q.size, masses
-
-
 def _cell_dots(h: Distribution, n: int, *columns) -> list:
     """sum_r w_r (m_r - c) for each column (bounds, w): w is the partner column summed over
     each tied run of the sorted column (bounds None: one run per cell), m_r the H^{-1} mean
@@ -185,12 +151,24 @@ def _cell_dots(h: Distribution, n: int, *columns) -> list:
     return [scale * d for d in dots]
 
 
-def _coupled_cov(h: Distribution, column: np.ndarray) -> float:
-    """Cov(column, its H^{-1} rank-cell means), taken in sorted order."""
+def _sorted_column(column: np.ndarray):
+    """A column of ``_cell_dots`` from its values: sorted once, centred, summed over tied runs."""
     ordered = np.sort(column)
     bounds = _runs(ordered)
     ordered -= ordered.mean()  # after finding runs: centring can merge distinct values
-    return _cell_dots(h, column.size, (bounds, _run_sums(ordered, bounds)))[0] / (column.size - 1)
+    return bounds, _run_sums(ordered, bounds)
+
+
+def _coupled_dots(h: Distribution, columns) -> list:
+    """``_cell_dots`` of H for columns of any sizes (bounds' end, or untied, length), one pass
+    of H's cells per distinct size: n times a step law's g with H, n - 1 times a plug-in."""
+    sizes = [w.size if b is None else int(b[-1]) for b, w in columns]
+    dots = [0.0] * len(columns)
+    for n in dict.fromkeys(sizes):
+        picked = [i for i, size in enumerate(sizes) if size == n]
+        for i, dot in zip(picked, _cell_dots(h, n, *(columns[i] for i in picked))):
+            dots[i] = dot
+    return dots
 
 
 _ranked_memo: dict = {}  # the last ranked sample (keyed on its identity) and its view

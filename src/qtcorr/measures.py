@@ -12,6 +12,11 @@ its generalization, log-odds covariance, extended Gini, record-value
 gaps), so there is a single production code path; the direct x-domain
 integral forms live only in the test suite as independent oracles.
 
+A step law (``Empirical``) is a sorted column of its centred values, constant on
+each of its n cells, so g takes the estimators' exact rank-cell route: the dot with
+the other law's cell means over n (of two step laws, the larger is the column), or
+of two such columns of equal size.
+
 Location cancels and scale factors out: g(F, G) = s_F s_G g(F0, G0) on the
 laws' standard shapes.  Each distinct quadrature integral is computed once per
 process: one ``lru_cache`` of 1024 floats, ``_quadrature_memo``, shared with
@@ -28,8 +33,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .distributions import (
     Distribution,
     Empirical,
@@ -42,6 +45,7 @@ from .distributions import (
     Weibull,
 )
 from .errors import DomainError
+from .estimation import _cell_dots, _dot
 from .quadrature import unit_integral
 
 
@@ -97,33 +101,6 @@ def _is_degenerate(d: Distribution) -> bool:
     return isinstance(d, Empirical) and d.is_degenerate()
 
 
-def _empirical_pair_integral(f: Empirical, g: Empirical) -> float:
-    # Exact integral of the product of two step quantile functions; one dot on a shared grid.
-    if f.n == g.n:
-        return float(np.mean(f.values * g.values))
-    edges = np.concatenate([[0.0, 1.0], np.arange(1.0, f.n) / f.n, np.arange(1.0, g.n) / g.n])
-    edges.sort()
-    edges = edges[np.diff(edges, prepend=-1.0) > 0.0]  # unique; np.union1d would import numpy.ma
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    widths = np.diff(edges)
-    return float(np.sum(widths * f.quantile(mids) * g.quantile(mids)))
-
-
-@functools.lru_cache(maxsize=4)
-def _cell_values(law: Distribution, n: int) -> np.ndarray:
-    # The law's exact mean over each of n equal cells (a law without them raises),
-    # read-only; kept because equal-size empirical laws ask for the same cells.
-    cells = law.cell_means(n)
-    cells.flags.writeable = False
-    return cells
-
-
-def _empirical_mixed_integral(emp: Empirical, other: Distribution) -> float:
-    # Exact per cell of the empirical grid: the step side is constant there and
-    # the other law enters by its cell mean.
-    return float(np.mean(emp.values * _cell_values(other, emp.n)))
-
-
 def g_covariance(
     f: Distribution,
     g: Distribution,
@@ -139,15 +116,13 @@ def g_covariance(
     (f, _, sf), (g, _, sg) = f.standard_form, g.standard_form
     if _is_degenerate(f) or _is_degenerate(g):
         return 0.0
-    if isinstance(f, Empirical) and isinstance(g, Empirical):
-        raw = _empirical_pair_integral(f, g)
-    elif isinstance(f, Empirical):
-        raw = _empirical_mixed_integral(f, g)
-    elif isinstance(g, Empirical):
-        raw = _empirical_mixed_integral(g, f)
-    else:  # F^{-1} G^{-1} and the means commute exactly: one entry serves both orders
+    if isinstance(g, Empirical) and not (isinstance(f, Empirical) and f.n >= g.n):
+        f, g = g, f  # the step law with more cells is the column, so both orders agree
+    if not isinstance(f, Empirical):  # the means commute exactly: one entry serves both orders
         return sf * sg * _once(_coupled_quadrature, sorted((f, g), key=repr), cfg)
-    return sf * sg * (raw - f.mean() * g.mean())
+    if isinstance(g, Empirical) and g.n == f.n:
+        return sf * sg * (_dot(f.values, g.values) / f.n)
+    return sf * sg * (_cell_dots(g, f.n, (None, f.values))[0] / f.n)
 
 
 def _coupled_quadrature(f, g, abs_tol: float) -> float:

@@ -2,13 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qtcorr.decomposition import StandbySystem, decompose, subadditivity_report
-from qtcorr.distributions import Exponential, Normal, Pareto, Uniform, Weibull
+from qtcorr.decomposition import StandbySystem, _system_sample, decompose, subadditivity_report
+from qtcorr.distributions import Empirical, Exponential, Normal, Pareto, Uniform, Weibull
 from qtcorr.errors import DomainError
-from qtcorr.measures import cre, g_covariance, gmd
+from qtcorr.measures import cre, extended_gini, g_covariance, gcre, gmd
 
 N_MC = 200_000  # module-level runs stay light; the full 1e6 lives in acceptance
 
@@ -115,22 +116,91 @@ def test_heavy_tailed_target_identity(seed):
 
 
 def test_subadditivity_report_computes_each_cell_grid_once(monkeypatch):
-    # the ten equal-size batch laws share every target law's cell means
-    from qtcorr.distributions import Distribution
-    from qtcorr.measures import _cell_values
+    # one pass of each distinct weight law's cells per column size: the full sample and
+    # the ten equal-size batches; the components Exp(1) and cre's Exp(1) share theirs
+    import qtcorr.estimation as estimation
+    from qtcorr.distributions import Distribution, Power
 
-    calls = []
-    cell_means = Distribution.cell_means
+    def refuse(self, n):
+        raise AssertionError("the report built an n-cell grid")
+
+    passes, blocks = [], estimation._cell_blocks
+    monkeypatch.setattr(Distribution, "cell_means", refuse)
     monkeypatch.setattr(
-        Distribution, "cell_means", lambda self, n: calls.append((self, n)) or cell_means(self, n)
+        estimation, "_cell_blocks", lambda h, n, *a: passes.append((h, n)) or blocks(h, n, *a)
     )
-    _cell_values.cache_clear()
     system = StandbySystem((Exponential(1), Exponential(1)))
     rows = subadditivity_report(system, 5_000, seed=3)
-    assert len(calls) == len(set(calls))
-    assert {n for _, n in calls} == {5_000, 500}
-    with pytest.raises(ValueError):
-        _cell_values(Exponential(1), 500)[0] = 0.0
-    _cell_values.cache_clear()
+    weights = [Exponential(1.0), Weibull(1.0, 0.5), Weibull(1.0, 1.0), Uniform(0.0, 1.0)]
+    weights += [Pareto(0.5), Power(3.0)]
+    assert passes == [(w, n) for w in weights for n in (5_000, 500)]
     monkeypatch.undo()
     assert subadditivity_report(system, 5_000, seed=3) == rows
+
+
+def test_both_reports_refuse_too_few_samples_for_batch_means():
+    system = StandbySystem((Exponential(1), Weibull(1, 2)))
+    reports = lambda n: decompose(system, Uniform(0, 1), n), lambda n: subadditivity_report(system, n)
+    for report in reports:
+        with pytest.raises(DomainError, match="too small for batch-means errors"):
+            report(999)
+    single = StandbySystem((Weibull(1, 2),))  # the exact path samples nothing
+    assert decompose(single, Uniform(0, 1), 5).mc_se == 0.0
+    assert all(row.se == 0.0 for row in subadditivity_report(single, 5))
+
+
+def test_one_component_rows_are_the_measures_of_the_component():
+    comp = Weibull(1, 2)
+    rows = {r.measure: r.lhs for r in subadditivity_report(StandbySystem((comp,)), 5)}
+    want = {
+        "var-bound": g_covariance(comp, comp),
+        "cre": cre(comp),
+        "gcre2": gcre(comp, 2),
+        "gmd": gmd(comp),
+        "egini0.5": extended_gini(comp, 0.5),
+        "egini3": extended_gini(comp, 3.0),
+    }
+    assert rows.keys() == want.keys()
+    for name, value in want.items():
+        assert rows[name] == pytest.approx(value, rel=1e-15, abs=0.0), name
+
+
+def _batch_oracle(t, value_of):
+    """value_of on T's empirical law and on each batch's own Empirical law."""
+    return value_of(Empirical(t)), [value_of(Empirical(b)) for b in np.array_split(t, 10)]
+
+
+def _batch_se(per_batch):
+    return float(np.std(per_batch, ddof=1) / math.sqrt(10))
+
+
+def test_two_batch_sizes_match_a_per_batch_empirical_oracle():
+    # 5,003 draws: batches of 501 and of 500 cells, one pass of each law per size
+    system = StandbySystem((Exponential(1), Weibull(1, 2), Exponential(0.5)))
+    n, seed, g = 5_003, 6, Pareto(0.5)
+    t = _system_sample(system, n, seed)[1]
+    result = decompose(system, g, n, seed)
+    full, per = _batch_oracle(t, lambda d: g_covariance(d, g) * d.n / (d.n - 1))
+    assert result.mc_estimate == pytest.approx(full, rel=1e-12, abs=0.0)
+    assert result.mc_se == pytest.approx(_batch_se(per), rel=1e-12, abs=0.0)
+
+    measures = {
+        "cre": cre,
+        "gcre2": lambda d: gcre(d, 2),
+        "gmd": gmd,
+        "egini0.5": lambda d: extended_gini(d, 0.5),
+        "egini3": lambda d: extended_gini(d, 3.0),
+    }
+    rows = {r.measure: r for r in subadditivity_report(system, n, seed)}
+    var, var_b = _batch_oracle(t, lambda d: g_covariance(d, d))
+    comps = system.components
+    shares, shares_b = _batch_oracle(t, lambda d: sum(g_covariance(c, d) for c in comps))
+    want = {"var-bound": (var, shares, shares - var, _batch_se(np.subtract(shares_b, var_b)))}
+    for name, fn in measures.items():
+        lhs, lhs_b = _batch_oracle(t, fn)
+        rhs = sum(fn(c) for c in comps)
+        want[name] = lhs, rhs, rhs - lhs, _batch_se(lhs_b)
+    assert rows.keys() == want.keys()
+    for name, values in want.items():
+        got = rows[name]
+        assert (got.lhs, got.rhs, got.slack, got.se) == pytest.approx(values, rel=1e-12, abs=0.0)

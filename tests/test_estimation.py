@@ -370,7 +370,7 @@ def test_untied_sample_does_not_warn():
 
 # -- one sort per sample: identity, the ranked-view memo, sorted-order oracles --
 
-from qtcorr.estimation import _coupled_cov, _ranked, _ranked_memo  # noqa: E402
+from qtcorr.estimation import _coupled_dots, _ranked, _ranked_memo, _sorted_column  # noqa: E402
 
 _NAMED = [
     ("pearson", None),
@@ -495,7 +495,8 @@ def test_sorted_order_estimators_match_scatter_oracle(h):
         assert got == pytest.approx(_oracle_estimate_beta_h(sample, h), rel=1e-14, abs=0.0)
         for column in (x, y):  # the decomposition's self-covariances
             want = np.cov(column, _oracle_rank_cell_means(h, column))[0, 1]
-            assert _coupled_cov(h, column) == pytest.approx(want, rel=1e-14, abs=0.0)
+            got = _coupled_dots(h, [_sorted_column(column)])[0] / (column.size - 1)
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_pearson_matches_former_std_ratio():
@@ -515,7 +516,8 @@ def test_sorted_order_covariance_keeps_full_precision():
         cells = np.repeat([math.fsum(r) / r.size for r in runs], sizes)  # pooled grid
         mx, mc = math.fsum(xs) / x.size, math.fsum(cells) / x.size
         want = math.fsum((xs - mx) * (cells - mc)) / (x.size - 1)
-        assert _coupled_cov(h, x) == pytest.approx(want, rel=2e-15, abs=0.0)
+        got = _coupled_dots(h, [_sorted_column(x)])[0] / (x.size - 1)
+        assert got == pytest.approx(want, rel=2e-15, abs=0.0)
 
 
 # -- centred once: the blocked dot kernel, invariances, allocation pins --------
@@ -769,7 +771,7 @@ from qtcorr.correlation import (  # noqa: E402
     symmetric_nu_bar,
     symmetric_tau,
 )
-from qtcorr.decomposition import StandbySystem, _component_samples, decompose  # noqa: E402
+from qtcorr.decomposition import StandbySystem, _system_sample, decompose  # noqa: E402
 from qtcorr.distributions import Distribution, Weibull  # noqa: E402
 from qtcorr.measures import IntegrationConfig  # noqa: E402
 
@@ -857,13 +859,13 @@ def test_a_step_margin_is_ranked_by_its_scores(h):
 def test_decomposition_shares_are_the_estimators_on_the_system_sample(g):
     system = StandbySystem((Exponential(1), Weibull(1, 2), Exponential(0.5)))
     result = decompose(system, g, 20_000, seed=4)
-    xs = _component_samples(system, 20_000, 4)
-    t = xs.sum(axis=0)
+    xs, t = _system_sample(system, 20_000, 4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         want = [estimate_beta_h(PairedSample(x, t), g) for x in xs]
     assert [beta for beta, _ in result.terms] == pytest.approx(want, rel=0.0, abs=1e-15)
-    assert result.mc_estimate == pytest.approx(_coupled_cov(g, t), rel=0.0, abs=1e-15)
+    mc_estimate = _coupled_dots(g, [_sorted_column(t)])[0] / (t.size - 1)
+    assert result.mc_estimate == pytest.approx(mc_estimate, rel=0.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("h", [Exponential(1), Pareto(0.5), Empirical(np.arange(1.0, 50.0))])
@@ -873,7 +875,9 @@ def test_monte_carlo_indices_build_no_grid(monkeypatch, h):
     passes = _count_grid_reads(monkeypatch, estimation)
     _evaluator.cache_clear()
     _mc_indices(BivariateModel(FGM(1.0), Exponential(1), Logistic(0, 1)), CorrelationSpec(h))
-    assert passes == [(h, _MC.mc_samples)]  # one stream of H's cells for all seven indices
+    # one stream of the cells of H's standard shape (an Empirical H's centred values) for all
+    # seven indices
+    assert passes == [(h.standard_form[0], _MC.mc_samples)]
 
 
 @pytest.mark.parametrize("g", [Exponential(1), Pareto(0.5)])
@@ -883,5 +887,5 @@ def test_decomposition_builds_no_grid(monkeypatch, g):
     system = StandbySystem((Exponential(1), Weibull(1, 2), Exponential(0.5)))
     passes = _count_grid_reads(monkeypatch, estimation)
     decompose(system, g, 20_000, seed=4)
-    # the three denominators, one pass for every numerator and mc_estimate, the ten batches
-    assert passes == [(g, 20_000)] * 4 + [(g, 2_000)] * 10
+    # one pass for every numerator, denominator and mc_estimate, one for the ten batches
+    assert passes == [(g, 20_000), (g, 2_000)]

@@ -534,7 +534,6 @@ def test_quadrature_memo_is_bounded():
 
 # -- float node grids: the same arrays as the integer-arange forms --------------
 
-from qtcorr.measures import _cell_values, _empirical_pair_integral  # noqa: E402
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 1000, 10**6 + 1])
@@ -544,19 +543,19 @@ def test_float_arange_grids_equal_the_integer_forms(n):
 
 
 def test_empirical_grids_match_the_integer_arange_forms_bit_for_bit():
+    # unequal sizes: the larger law is the column, the smaller one H; oracle, the midpoint
+    # sum over the union of both laws' step edges, exact for two step laws
     rng = np.random.default_rng(4)
-    laws = [Empirical(rng.normal(size=m)) for m in (1, 3, 7, 250, 1000)]
+    laws = [Empirical(rng.normal(size=m)) for m in (2, 3, 7, 250, 1000)]
     for f in laws:
         for g in (g for g in laws if g.n != f.n):  # equal sizes take one dot (below)
             edges = np.union1d(np.arange(1, f.n) / f.n, np.arange(1, g.n) / g.n)
             edges = np.concatenate([[0.0], edges, [1.0]])
             mids = 0.5 * (edges[:-1] + edges[1:])
-            want = float(np.sum(np.diff(edges) * f.quantile(mids) * g.quantile(mids)))
-            assert _empirical_pair_integral(f, g) == want
-        _cell_values.cache_clear()
-        cells = _cell_values(f, 999)  # exact cell means, never a midpoint rule
-        assert np.array_equal(cells, f.cell_means(999)) and not cells.flags.writeable
-    _cell_values.cache_clear()
+            raw = math.fsum(np.diff(edges) * f.quantile(mids) * g.quantile(mids))
+            want = raw - f.mean() * g.mean()
+            assert g_covariance(f, g) == pytest.approx(want, rel=1e-13, abs=0.0)
+            assert g_covariance(f, g) == g_covariance(g, f)
 
 
 @pytest.mark.parametrize("n", [1, 3, 1000, 50_000])
@@ -564,8 +563,9 @@ def test_equal_size_empirical_pair_integral_is_the_mean_product_of_sorted_values
     rng = np.random.default_rng(n)
     f, g = Empirical(rng.gamma(2.0, size=n)), Empirical(rng.exponential(size=n))
     for a, b in ((f, g), (f, f)):
-        want = math.fsum(a.values * b.values) / n
-        assert abs(_empirical_pair_integral(a, b) - want) <= 2 * np.spacing(want)
+        want = math.fsum((a.values - a.mean()) * (b.values - b.mean())) / n
+        assert g_covariance(a, b) == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert g_covariance(b, a) == g_covariance(a, b)
 
 
 # -- location cancels and scale factors out ---------------------------------------
