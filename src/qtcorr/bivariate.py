@@ -9,24 +9,34 @@ is no longer representable in floating point.  Every family has one, so
 every model, the Gaussian included, can integrate by the same quadrature path.
 
 ``dependence_integral`` is the copula's integral of that excess against two
-quantile densities.  It runs the 2-D quadrature, except where a family's
-excess factorises: FGM's is gamma u(1-u) v(1-v), so its integral is a product
-of two 1-D coupled-quantile covariances.
+quantile densities qd_A and qd_B.  Gumbel-Barnett, AMH and the Gaussian run
+the 2-D quadrature; three forms reduce it to memoised 1-D coupled-quantile
+covariances g:
 
-Sampling uses conditional inversion: U and W uniform, then V solves
-``cond_cdf(U, V) = W`` through each family's exact ``cond_inverse``.  FGM
+- FGM's excess factorises as gamma u(1-u) v(1-v), so its integral is
+  4 gamma g(A, U(0, 1)) g(B, U(0, 1));
+- the comonotone bound couples A^{-1}(U) with B^{-1}(U) (Hoeffding's
+  identity), so its integral is g(A, B);
+- a reflection substitutes s = 1 - u, under which qd_A(1 - s) is the
+  quantile density of Reflected(A), so its integral is minus the base's with
+  A reflected (likewise in v).  The countermonotone bound is the comonotone
+  one reflected in v, with integral -g(A, Reflected(B)).
+
+Sampling uses conditional inversion: U and W uniform, then V is the
+W-quantile of V given U through each family's exact ``cond_inverse``.  FGM
 and AMH invert a quadratic in V, taking the root in the form that avoids
 cancellation; Gumbel-Barnett solves a convex scalar equation in
--log(1 - V) by a few vectorized Newton steps.  The Gaussian family draws
+-log(1 - V) by a few vectorized Newton steps; the comonotone bound sets
+V = U, and a reflection maps its base's draw.  The Gaussian family draws
 correlated normal scores Z, which a margin loc + scale N(0, 1) maps to
-loc + scale Z, never through Phi and back; the extremes set V = U or 1 - U.
+loc + scale Z, never through Phi and back.
 """
 
 from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, SeedSequence, default_rng
@@ -91,14 +101,8 @@ class Copula:
         out = np.clip(out, 0.0, 1.0)
         return float(out) if out.ndim == 0 else out
 
-    def cond_cdf(self, u, v):
-        """Conditional CDF of V given U = u (the partial derivative in u)."""
-        raise UnsupportedOperationError(
-            f"{self.family} copula does not expose a conditional CDF"
-        )
-
     def cond_inverse(self, u, w):
-        """The v with cond_cdf(u, v) = w, elementwise."""
+        """The w-quantile of V given U = u, elementwise."""
         raise UnsupportedOperationError(
             f"{self.family} copula does not expose a conditional inverse"
         )
@@ -125,9 +129,6 @@ class Independence(Copula):
     def excess(self, u, uc, v, vc):
         return np.zeros(np.broadcast_shapes(np.shape(u), np.shape(v)))
 
-    def cond_cdf(self, u, v):
-        return np.broadcast_to(np.asarray(v, dtype=float), np.broadcast_shapes(np.shape(u), np.shape(v)))
-
     def cond_inverse(self, u, w):
         return w
 
@@ -151,9 +152,6 @@ class FGM(Copula):
         unit = Uniform(0.0, 1.0)
         cov_u, cov_v = g_covariance(weight_u, unit, cfg), g_covariance(weight_v, unit, cfg)
         return 4.0 * self.gamma * cov_u * cov_v
-
-    def cond_cdf(self, u, v):
-        return v * (1.0 + self.gamma * (1.0 - 2.0 * u) * (1.0 - v))
 
     def cond_inverse(self, u, w):
         # root of a v^2 - (1 + a) v + w = 0, a = gamma (1 - 2u); the discriminant
@@ -186,11 +184,6 @@ class GumbelBarnett(Copula):
         with np.errstate(invalid="ignore", divide="ignore"):
             core = uc * vc * np.expm1(-self.theta * np.log(uc) * np.log(vc))
         return np.where(boundary, 0.0, core)
-
-    def cond_cdf(self, u, v):
-        lv = np.log1p(-v)
-        core = np.exp(-self.theta * np.log1p(-u) * lv)
-        return 1.0 - (1.0 - v) * core * (1.0 - self.theta * lv)
 
     def cond_inverse(self, u, w):
         # f(s) = r s - log1p(theta s) - e = 0 in s = -log(1 - v); f is increasing
@@ -238,10 +231,6 @@ class AMH(Copula):
         with np.errstate(invalid="ignore"):
             core = self.theta * u * v * uc * vc / self._denom(u, v)
         return np.where(boundary, 0.0, core)
-
-    def cond_cdf(self, u, v):
-        d = self._denom(u, v)
-        return v * ((1.0 - self.theta) + self.theta * v) / (d * d)
 
     def cond_inverse(self, u, w):
         # c2 v^2 + p v - w A^2 = 0 with A = 1 - theta (1-u), B = theta (1-u),
@@ -318,26 +307,17 @@ class GaussianCopula(Copula):
 
 @dataclass(frozen=True)
 class FrechetUpper(Copula):
-    """Comonotone bound C = min(u, v)."""
+    """Comonotone bound C = min(u, v), the copula of (U, U)."""
 
     def excess(self, u, uc, v, vc):
         return np.minimum(uc, vc) - uc * vc
 
-    def sample(self, n, rng):
-        u = np.maximum(rng.random(n), _UNIFORM_FLOOR)
-        return u, u
+    def dependence_integral(self, weight_u, weight_v, abs_tol):
+        # Cov(A^{-1}(U), B^{-1}(U)) is the coupled-quantile covariance, memoised
+        return g_covariance(weight_u, weight_v, IntegrationConfig(abs_tol=abs_tol))
 
-
-@dataclass(frozen=True)
-class FrechetLower(Copula):
-    """Countermonotone bound C = max(u + v - 1, 0)."""
-
-    def excess(self, u, uc, v, vc):
-        return -np.minimum(u * v, uc * vc)
-
-    def sample(self, n, rng):
-        u = np.maximum(rng.random(n), _UNIFORM_FLOOR)
-        return u, np.maximum(1.0 - u, _UNIFORM_FLOOR)
+    def cond_inverse(self, u, w):  # V given U = u is the point mass at u
+        return u
 
 
 @dataclass(frozen=True)
@@ -348,6 +328,10 @@ class _ReflectedU(Copula):
 
     def excess(self, u, uc, v, vc):
         return -self.base.excess(uc, u, v, vc)
+
+    def dependence_integral(self, weight_u, weight_v, abs_tol):
+        # A^{-1}(1 - U) = -Reflected(A)^{-1}(U); 0.0 - keeps a zero integral +0.0
+        return 0.0 - self.base.dependence_integral(Reflected(weight_u), weight_v, abs_tol)
 
     def sample(self, n, rng):
         u, v = self.base.sample(n, rng)
@@ -363,9 +347,19 @@ class _ReflectedV(Copula):
     def excess(self, u, uc, v, vc):
         return -self.base.excess(u, uc, vc, v)
 
+    def dependence_integral(self, weight_u, weight_v, abs_tol):
+        return 0.0 - self.base.dependence_integral(weight_u, Reflected(weight_v), abs_tol)
+
     def sample(self, n, rng):
         u, v = self.base.sample(n, rng)
         return u, np.maximum(1.0 - v, _UNIFORM_FLOOR)
+
+
+@dataclass(frozen=True)
+class FrechetLower(_ReflectedV):
+    """Countermonotone bound C = max(u + v - 1, 0), the copula of (U, 1 - U)."""
+
+    base: Copula = field(default=FrechetUpper(), init=False, repr=False)
 
 
 @dataclass(frozen=True)

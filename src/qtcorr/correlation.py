@@ -12,10 +12,12 @@ The production numerator is the dependence integral over the unit square,
 
 with qd the quantile densities (the x-y plane form of the same integral
 is kept to the test suite as an oracle).  Each copula family integrates it
-by its own ``dependence_integral`` method: the 2-D quadrature, or, for FGM,
-whose excess gamma u(1-u) v(1-v) factorises, the product
-4 gamma Cov(F^{-1}(U), U) Cov(H^{-1}(U), U) of two memoised 1-D integrals,
-which is the paper's FGM closed form.  Named choices of H recover the
+by its own ``dependence_integral`` method: the 2-D quadrature, or memoised
+1-D integrals where the copula allows.  For FGM, whose excess
+gamma u(1-u) v(1-v) factorises, it is 4 gamma Cov(F^{-1}(U), U) Cov(H^{-1}(U), U),
+the paper's FGM closed form; for the Frechet bounds Cov(F^{-1}(U), H^{-1}(U))
+and -Cov(F^{-1}(U), Reflected(H)^{-1}(U)); a reflected copula negates its
+base's integral with the reflected weight.  Named choices of H recover the
 classical indices: uniform H gives the Gini correlation, logistic H the
 log-odds based one, exponential H the cumulative-residual-entropy based
 one, and Pareto/power H the extended Gini family.  H = G gives a
@@ -98,9 +100,10 @@ def dependence_integral(
     Cov(X, Y) (the classical CDF-difference identity), and with a
     transform law on one axis it is the numerator of ``beta_h``.  The
     copula's ``dependence_integral`` method computes it: a 2-D quadrature,
-    or for FGM the product 4 gamma g(wu, U(0,1)) g(wv, U(0,1)) of two
-    coupled-quantile covariances.  It reads only quantile densities, so the
-    weights' scales factor out and their standard shapes are integrated.
+    or coupled-quantile covariances g, such as 4 gamma g(wu, U(0,1))
+    g(wv, U(0,1)) for FGM and g(wu, wv) for the comonotone bound.  It reads
+    only quantile densities, so the weights' scales factor out and their
+    standard shapes are integrated.
     """
     (a, _, sa), (b, _, sb) = weight_u.standard_form, weight_v.standard_form
     # the family's method, unbound, so the memo keys on the copula by value

@@ -403,11 +403,11 @@ print(sorted(set(sys.modules) - before))
 
 
 def test_numerical_failure_exit_code(capsys):
-    # a transform law whose coupled-quantile integral is tail-divergent
+    # g(Pareto(0.9), Pareto(0.05)) integrates (1 - u)^-0.1 (1 - u)^-0.95, which diverges
     code, _, err = run_cli(
         capsys,
         "corr", "--copula", "fgm:0.5",
-        "--fx", "pareto:0.9", "--gy", "exp:1", "--h", "pareto:0.2",
+        "--fx", "pareto:0.9", "--gy", "exp:1", "--h", "pareto:0.05",
     )
     assert code == 2
     assert "tail" in err

@@ -46,6 +46,7 @@ from qtcorr.distributions import (
     Normal,
     Pareto,
     Power,
+    Reflected,
     Uniform,
     Weibull,
 )
@@ -353,6 +354,52 @@ def test_frechet_attainment():
         assert beta_h(lo, spec) == pytest.approx(-1.0, abs=TOL)
     # asymmetric transform law: the lower extreme is NOT attained
     assert beta_h(lo, named_transform("cre_based")) > -0.99
+
+
+FRECHET_MARGINS = [
+    Uniform(0, 1),
+    Exponential(1),
+    Weibull(1, 2),
+    Weibull(1, 0.5),
+    Logistic(0, 1),
+    Normal(2, 3),
+    Laplace(0, 1),
+    Gumbel(0, 1),
+    Power(1.5),
+]
+
+
+def test_comonotone_indices_are_exactly_one():
+    # the numerator Cov(F^{-1}(U), H^{-1}(U)) and the denominator are one memo entry
+    for f in FRECHET_MARGINS:
+        for g in FRECHET_MARGINS[:4]:
+            model = BivariateModel(FrechetUpper(), f, g)
+            assert rho_t(model) == 1.0
+            for spec in NAMED:
+                assert beta_h(model, spec) == 1.0
+
+
+def test_countermonotone_lower_end_is_minus_one_only_for_symmetric_h():
+    # by the rearrangement inequality beta_H >= -g(F, Reflected(H)) / g(F, H), attained
+    # by (U, 1 - U); the two covariances agree when H is symmetric
+    for f in FRECHET_MARGINS:
+        model = BivariateModel(FrechetLower(), f, Exponential(1))
+        for spec in SYMMETRIC_H:
+            assert abs(beta_h(model, spec) + 1.0) <= 1e-12
+        for spec in NAMED:
+            want = -g_covariance(f, Reflected(spec.h)) / g_covariance(f, spec.h)
+            assert beta_h(model, spec) == want
+    # F = H = Exp(1): Cov(-log(1 - U), -log U) / Var(-log U) = (2 - pi^2/6 - 1) / 1
+    cre = beta_h(BivariateModel(FrechetLower(), Exponential(1), Exponential(1)), NAMED[0])
+    assert abs(cre + (math.pi**2 / 6.0 - 1.0)) <= 1e-12
+
+
+def test_reflecting_the_comonotone_model_is_the_countermonotone_one():
+    for f in FRECHET_MARGINS[:4]:
+        up = BivariateModel(FrechetUpper(), f, Exponential(1))
+        lo = BivariateModel(FrechetLower(), f, Reflected(Exponential(1)))
+        for spec in NAMED + SYMMETRIC_H:
+            assert repr(beta_h(reflect_y(up), spec)) == repr(beta_h(lo, spec))
 
 
 def test_pearson_never_exceeds_rho_t():
@@ -686,6 +733,33 @@ def test_dependence_integral_memo_is_bit_identical_and_ignores_method_and_seed(m
     assert "integrate_2d" in calls and _quadrature_memo.cache_info().currsize == 2
 
 
+def test_frechet_and_reflected_fgm_models_integrate_in_one_dimension(monkeypatch):
+    calls = _engine_calls(monkeypatch)
+    _quadrature_memo.cache_clear()
+    _evaluator.cache_clear()
+    f, g = Weibull(1, 2), Exponential(1)
+    fgm = BivariateModel(FGM(0.8), f, g)
+    models = [
+        BivariateModel(FrechetUpper(), f, g),
+        BivariateModel(FrechetLower(), f, g),
+        reflect_x(fgm),
+        reflect_y(fgm),
+        reflect_x(reflect_y(fgm)),
+    ]
+    for model in models:
+        for spec in NAMED:
+            beta_h(model, spec)
+            beta_h_reversed(model, spec)
+        pearson(model)
+        rho_t(model)
+    assert "integrate" in calls and "integrate_2d" not in calls
+    # reflecting Y negates beta_H for every H; reflecting X for symmetric H
+    for spec in NAMED:
+        assert abs(beta_h(reflect_y(fgm), spec) + beta_h(fgm, spec)) <= 1e-15
+    for spec in SYMMETRIC_H:
+        assert abs(beta_h(reflect_x(fgm), spec) + beta_h(fgm, spec)) <= 1e-15
+
+
 @dataclasses.dataclass(frozen=True)
 class _RefusingCopula(Copula):
     def excess(self, u, uc, v, vc):
@@ -743,6 +817,10 @@ def test_independence_members_integrate_no_2d_point(monkeypatch):
     for cop in (Independence(), GumbelBarnett(0.0), AMH(0.0), GaussianCopula(0.0)):
         assert cop.independent
         assert repr(dependence_integral(cop, Weibull(1, 2), Logistic(0, 1))) == "0.0"
+        # a reflection negates its base's integral, and a zero stays +0.0
+        for reflect in (reflect_x, reflect_y):
+            reflected = reflect(BivariateModel(cop, Weibull(1, 2), Logistic(0, 1))).copula
+            assert repr(dependence_integral(reflected, Weibull(1, 2), Logistic(0, 1))) == "0.0"
     assert calls == []
     for cop in (GumbelBarnett(0.5), AMH(-1.0), GaussianCopula(-0.3), FrechetUpper()):
         assert not cop.independent
