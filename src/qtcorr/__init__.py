@@ -68,7 +68,6 @@ from .distributions import (
     Uniform,
     Weibull,
     parse_distribution,
-    q_transform,
 )
 from .errors import (
     DegenerateError,

@@ -1,17 +1,14 @@
 """Copula families, joint bivariate models, and seeded sampling.
 
-Each copula exposes its CDF both directly and through ``excess(u, uc, v,
-vc) = C(u, v) - u v`` where ``uc = 1 - u`` and ``vc = 1 - v`` are supplied
-exactly.  The excess is the integrand weight of every dependence integral
-in this package and vanishes linearly at the square's edges, so the
-tail-exact form keeps deep-tail quadrature nodes meaningful where ``1 - u``
-is no longer representable in floating point.  Every family has one, so
-every model, the Gaussian included, can integrate by the same quadrature path.
-
-``dependence_integral`` is the copula's integral of that excess against two
-quantile densities qd_A and qd_B.  Gumbel-Barnett, AMH and the Gaussian run
-the 2-D quadrature; three forms reduce it to memoised 1-D coupled-quantile
-covariances g:
+A copula is its sampler and its ``dependence_integral``, the integral of
+its excess C(u, v) - u v against two quantile densities qd_A and qd_B; no
+copula evaluates C itself.  Gumbel-Barnett, AMH and the Gaussian run the 2-D
+quadrature on ``excess(u, uc, v, vc)``, where ``uc = 1 - u`` and ``vc = 1 - v``
+are supplied exactly.  The excess vanishes linearly at the square's edges,
+so the tail-exact form keeps deep-tail quadrature nodes meaningful where
+``1 - u`` is no longer representable in floating point.  Independence
+integrates to 0, and three forms reduce the integral to memoised 1-D
+coupled-quantile covariances g:
 
 - FGM's excess factorises as gamma u(1-u) v(1-v), so its integral is
   4 gamma g(A, U(0, 1)) g(B, U(0, 1));
@@ -94,13 +91,6 @@ class Copula:
 
         return unit_integral_2d(g2, abs_tol)
 
-    def cdf(self, u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        out = u * v + self.excess(u, 1.0 - u, v, 1.0 - v)
-        out = np.clip(out, 0.0, 1.0)
-        return float(out) if out.ndim == 0 else out
-
     def cond_inverse(self, u, w):
         """The w-quantile of V given U = u, elementwise."""
         raise UnsupportedOperationError(
@@ -126,9 +116,6 @@ class Copula:
 class Independence(Copula):
     independent = True
 
-    def excess(self, u, uc, v, vc):
-        return np.zeros(np.broadcast_shapes(np.shape(u), np.shape(v)))
-
     def cond_inverse(self, u, w):
         return w
 
@@ -142,9 +129,6 @@ class FGM(Copula):
     def __post_init__(self):
         if not (math.isfinite(self.gamma) and -1.0 <= self.gamma <= 1.0):
             raise DomainError(f"FGM requires gamma in [-1, 1], got {self.gamma}")
-
-    def excess(self, u, uc, v, vc):
-        return self.gamma * u * uc * v * vc
 
     def dependence_integral(self, weight_u, weight_v, abs_tol):
         # integral u(1-u) qd_A(u) du = GMD(A) / 2 = 2 Cov(A, U): two memoised 1-D integrals
@@ -309,9 +293,6 @@ class GaussianCopula(Copula):
 class FrechetUpper(Copula):
     """Comonotone bound C = min(u, v), the copula of (U, U)."""
 
-    def excess(self, u, uc, v, vc):
-        return np.minimum(uc, vc) - uc * vc
-
     def dependence_integral(self, weight_u, weight_v, abs_tol):
         # Cov(A^{-1}(U), B^{-1}(U)) is the coupled-quantile covariance, memoised
         return g_covariance(weight_u, weight_v, IntegrationConfig(abs_tol=abs_tol))
@@ -325,9 +306,6 @@ class _ReflectedU(Copula):
     """Copula of (1 - U, V); realizes the margin reflection x -> -x."""
 
     base: Copula = None  # type: ignore[assignment]
-
-    def excess(self, u, uc, v, vc):
-        return -self.base.excess(uc, u, v, vc)
 
     def dependence_integral(self, weight_u, weight_v, abs_tol):
         # A^{-1}(1 - U) = -Reflected(A)^{-1}(U); 0.0 - keeps a zero integral +0.0
@@ -343,9 +321,6 @@ class _ReflectedV(Copula):
     """Copula of (U, 1 - V)."""
 
     base: Copula = None  # type: ignore[assignment]
-
-    def excess(self, u, uc, v, vc):
-        return -self.base.excess(u, uc, vc, v)
 
     def dependence_integral(self, weight_u, weight_v, abs_tol):
         return 0.0 - self.base.dependence_integral(weight_u, Reflected(weight_v), abs_tol)
@@ -364,14 +339,11 @@ class FrechetLower(_ReflectedV):
 
 @dataclass(frozen=True)
 class BivariateModel:
-    """A copula with two marginal laws; induces the joint CDF C(F(x), G(y))."""
+    """A copula with two marginal laws: the law of (F^{-1}(U), G^{-1}(V)) for (U, V) ~ C."""
 
     copula: Copula
     margin_x: Distribution
     margin_y: Distribution
-
-    def joint_cdf(self, x, y):
-        return self.copula.cdf(self.margin_x.cdf(x), self.margin_y.cdf(y))
 
     def sample(self, n: int, seed: int) -> PairedSample:
         """n paired observations; deterministic for a given seed."""

@@ -1,33 +1,32 @@
-"""Catalog of univariate continuous laws with CDF/quantile machinery.
+"""Catalog of univariate continuous laws, each given by its quantile function.
 
-Every law exposes the same small surface: ``cdf``, ``quantile`` (the
-left-continuous generalized inverse), ``quantile_density`` (derivative of
-the quantile function), ``quantile_integral`` (the partial mass
-QI(p) = integral of the quantile over [0, p]), ``mean`` and ``cell_means``,
-and the rank-preserving map :func:`q_transform`.  Quantile-side evaluation
-is tail-aware: the ``*_comp`` variants take the distance to 1 directly, so
+Every law exposes the same small surface: ``quantile`` (the left-continuous
+generalized inverse of its CDF), ``quantile_density`` (derivative of the
+quantile function), ``quantile_integral`` (the partial mass QI(p) = integral
+of the quantile over [0, p]), ``mean`` and ``cell_means``.  No law evaluates
+its CDF: quadrature, sampling and estimation read only these methods.  They
+are tail-aware: the ``*_comp`` variants take the distance to 1 directly, so
 integrators can work at depths where ``1 - p`` is no longer representable.
 
 A location-scale law is X = loc + scale Z for a standard shape Z.  Its hooks
 compute Z alone, and ``Distribution`` applies (loc, scale) in one place, after
 any differencing: quantile loc + s Q0, quantile density s qd0, QI loc p + s QI0,
-cell means loc + s cells0, cdf cdf0((x - loc) / s), and the support mapped the
-same way.  ``standard_form`` is (Z, loc, scale), so consumers read Z and factor
-the scale out of a covariance, which location leaves alone.  A law at (0, 1),
-and a law that is not location-scale, is its own standard shape and pays no
-map.  ``Affine`` is its base's standard shape under the composed map.
+cell means loc + s cells0, and the support mapped the same way.
+``standard_form`` is (Z, loc, scale), so consumers read Z and factor the scale
+out of a covariance, which location leaves alone.  A law at (0, 1), and a law
+that is not location-scale, is its own standard shape and pays no map.
+``Affine`` is its base's standard shape under the composed map.
 
 QI is the one source of first moments: ``mean`` is QI(1), and ``_cell_blocks``
 streams the cell means, its increments, splitting QI from QI_comp at n // 2 in that
 one place.  A law without an exact QI raises ``UnsupportedOperationError``.
 
-The special functions the laws need (Phi and its inverse, the logistic
-sigmoid, the regularised incomplete gamma function and E1) are numpy kernels
-at the end of this module.
+The special functions the laws need (Phi and its inverse, the regularised
+incomplete gamma function and E1) are numpy kernels at the end of this module.
 
 All instances are immutable; operations are pure and vectorized over
-numpy arrays (scalars in, scalars out).  The quantile-side methods pass a
-nonempty float64 array strictly inside (0, 1) straight to the law's hook.
+numpy arrays (scalars in, scalars out).  The methods pass a nonempty float64
+array strictly inside (0, 1) straight to the law's hook.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ class Distribution:
 
     # (lower, upper) support ends; math.inf sentinels for unbounded laws.
     support: tuple[float, float] = (-math.inf, math.inf)
-    symmetry_center: float | None = None  # the c with X - c distributed as c - X
     _map: tuple[Distribution, float, float] | None = None  # (Z, loc, scale) of a located law
 
     def _locate(self, loc: float, scale: float, standard) -> None:
@@ -72,10 +70,9 @@ class Distribution:
             raise DomainError(f"{bad}, got ({loc!r}, {scale!r})")
         if isinstance(standard, Distribution) or (loc, scale) != (0.0, 1.0):
             z = standard if isinstance(standard, Distribution) else standard()
-            (lo, hi), c = z.support, z.symmetry_center
+            lo, hi = z.support
             object.__setattr__(self, "_map", (z, loc, scale))
             object.__setattr__(self, "support", (loc + scale * lo, loc + scale * hi))
-            object.__setattr__(self, "symmetry_center", None if c is None else loc + scale * c)
 
     @property
     def standard_form(self) -> tuple[Distribution, float, float]:
@@ -85,21 +82,6 @@ class Distribution:
     @property
     def name(self) -> str:
         return type(self).__name__.lower()
-
-    def cdf(self, x):
-        arr, scalar = _as_array(x)
-        if self._map:
-            z, loc, scale = self._map
-            return z.cdf((arr - loc) / scale)
-        lo, hi = self.support
-        out = np.empty_like(arr)
-        below = arr <= lo
-        above = arr >= hi
-        inside = ~(below | above)
-        out[below] = 0.0
-        out[above] = 1.0
-        out[inside] = self._cdf(arr[inside])
-        return _ret(np.clip(out, 0.0, 1.0), scalar)
 
     def quantile(self, p):
         message = "quantile requires p in [0, 1], got {!r}"
@@ -182,9 +164,6 @@ class Distribution:
 
     # -- law-specific hooks of the standard shape (arrays in, arrays out, interior points only) --
 
-    def _cdf(self, x):
-        raise NotImplementedError
-
     def _quantile(self, p):
         raise NotImplementedError
 
@@ -209,8 +188,6 @@ class _Symmetric(Distribution):
     """A standard shape symmetric about 0, whose upper-tail hooks mirror the lower ones:
     Z_comp(q) = -Z(q), qd_comp = qd and QI_comp(q) = -QI(q)."""
 
-    symmetry_center = 0.0
-
     def _quantile_comp(self, q):
         return -self._quantile(q)
 
@@ -228,13 +205,9 @@ class Uniform(Distribution):
     a: float = 0.0
     b: float = 1.0
     support = (0.0, 1.0)
-    symmetry_center = 0.5
 
     def __post_init__(self):
         self._locate(self.a, self.b - self.a, Uniform)
-
-    def _cdf(self, x):
-        return x
 
     def _quantile(self, p):
         return p.copy()
@@ -258,9 +231,6 @@ class Exponential(Distribution):
 
     def __post_init__(self):
         self._locate(0.0, 1.0 / self.rate if self.rate else math.inf, Exponential)
-
-    def _cdf(self, x):
-        return -np.expm1(-x)
 
     def _quantile(self, p):
         return -np.log1p(-p)
@@ -293,9 +263,6 @@ class Logistic(_Symmetric):
     def __post_init__(self):
         self._locate(self.loc, self.scale, Logistic)
 
-    def _cdf(self, x):
-        return _expit(x)
-
     def _quantile(self, p):
         return np.log(p) - np.log1p(-p)
 
@@ -323,9 +290,6 @@ class Normal(_Symmetric):
     def __post_init__(self):
         self._locate(self.mu, self.sigma, Normal)
 
-    def _cdf(self, x):
-        return ndtr(x)
-
     def _quantile(self, p):
         return ndtri(p)
 
@@ -352,9 +316,6 @@ class Weibull(Distribution):
         if not (math.isfinite(self.shape) and self.shape > 0.0):
             raise DomainError(f"Weibull requires shape > 0, got {self.shape}")
         self._locate(0.0, self.scale, lambda: Weibull(1.0, self.shape))
-
-    def _cdf(self, x):
-        return -np.expm1(-(x**self.shape))
 
     def _quantile(self, p):
         return (-np.log1p(-p)) ** (1.0 / self.shape)
@@ -391,9 +352,6 @@ class Laplace(_Symmetric):
     def __post_init__(self):
         self._locate(self.loc, self.scale, Laplace)
 
-    def _cdf(self, x):
-        return np.where(x < 0.0, 0.5 * np.exp(x), 1.0 - 0.5 * np.exp(-x))
-
     def _quantile(self, p):
         low = np.log(2.0 * np.minimum(p, 0.5))
         high = -np.log(2.0 * np.minimum(1.0 - p, 0.5))
@@ -420,9 +378,6 @@ class Gumbel(Distribution):
 
     def __post_init__(self):
         self._locate(self.loc, self.scale, Gumbel)
-
-    def _cdf(self, x):
-        return np.exp(-np.exp(-x))
 
     def _quantile(self, p):
         return -np.log(-np.log(p))
@@ -467,9 +422,6 @@ class Pareto(Distribution):
         if not (math.isfinite(self.nu) and 0.0 < self.nu < 1.0):
             raise DomainError(f"Pareto requires 0 < nu < 1, got {self.nu}")
 
-    def _cdf(self, x):
-        return -np.expm1(np.log(x) / (self.nu - 1.0))
-
     def _quantile(self, p):
         return (1.0 - p) ** (self.nu - 1.0)
 
@@ -500,9 +452,6 @@ class Power(Distribution):
     def __post_init__(self):
         if not (math.isfinite(self.nu) and self.nu > 1.0):
             raise DomainError(f"Power requires nu > 1, got {self.nu}")
-
-    def _cdf(self, x):
-        return -np.expm1(np.log1p(-x) / (self.nu - 1.0))
 
     def _quantile(self, p):
         return -np.expm1((self.nu - 1.0) * np.log1p(-p))
@@ -571,11 +520,6 @@ class Empirical(Distribution):
     def is_degenerate(self) -> bool:
         return bool(self._values[0] == self._values[-1])
 
-    def cdf(self, x):
-        arr, scalar = _as_array(x)
-        out = np.searchsorted(self._values, arr, side="right") / self.n
-        return _ret(out.astype(float), scalar)
-
     def _quantile(self, p):
         # inf{x : F(x) >= p}: the ceil(p * n)-th order statistic, ties to the
         # smallest index.
@@ -635,13 +579,7 @@ class Reflected(Distribution):
             self._locate(-loc, scale, Reflected(z))
             return
         lo, hi = self.base.support
-        c = self.base.symmetry_center
         object.__setattr__(self, "support", (-hi, -lo))
-        object.__setattr__(self, "symmetry_center", None if c is None else -c)
-
-    def _cdf(self, x):
-        # P(-X <= x) = 1 - F(-x) for continuous X.
-        return 1.0 - self.base.cdf(-x)
 
     def _quantile(self, p):
         return -self.base.quantile_comp(p)
@@ -679,12 +617,6 @@ class ExpTransformed(Distribution):
             ),
         )
 
-    def _cdf(self, x):
-        out = np.zeros_like(x)
-        pos = x > 0.0
-        out[pos] = self.base.cdf(np.log(x[pos]))
-        return out
-
     def _quantile(self, p):
         return np.exp(self.base.quantile(p))
 
@@ -716,11 +648,6 @@ class ExpTransformed(Distribution):
     def _quantile_integral_comp(self, q):
         mean, sigma = self._lognormal()
         return mean * ndtr(ndtri(q) + sigma)
-
-
-def q_transform(f: Distribution, g: Distribution, x):
-    """Rank-preserving map G^{-1}(F(x)); sends the law F onto the law G."""
-    return g.quantile(f.cdf(x))
 
 
 # ---------------------------------------------------------------------------
@@ -766,9 +693,9 @@ def parse_distribution(text: str) -> Distribution:
 
 # ---------------------------------------------------------------------------
 # Special functions of the catalogue laws, in numpy alone: Phi and its inverse
-# (normal), the logistic sigmoid, the regularised incomplete gamma function
-# (Weibull) and the exponential integral E1 (Gumbel).  Each maps float64
-# arrays elementwise, NaN to NaN, without floating-point warnings.
+# (normal), the regularised incomplete gamma function (Weibull) and the
+# exponential integral E1 (Gumbel).  Each maps float64 arrays elementwise,
+# NaN to NaN, without floating-point warnings.
 # ---------------------------------------------------------------------------
 
 _BLOCK = 16384  # elements per kernel pass: larger temporaries leave the cache
@@ -952,12 +879,6 @@ def _ndtr_block(x):
 def ndtr(x):
     """Phi(x), the standard normal CDF."""
     return _blockwise(_ndtr_block, x)
-
-
-def _expit(z):
-    """The logistic sigmoid 1 / (1 + e^-z)."""
-    e = np.exp(-np.abs(z))  # in [0, 1], so neither branch overflows
-    return np.where(z >= 0.0, 1.0, e) / (1.0 + e)
 
 
 _CF_TOL = 4e-16  # a step within two ulps of 1 leaves the fraction unchanged in float64

@@ -58,6 +58,8 @@ from qtcorr.errors import (
     UnsupportedOperationError,
 )
 from qtcorr.estimation import PairedSample, estimate_beta_h, estimate_named
+from test_bivariate import _copula_cdf
+from test_distributions import _cdf
 from qtcorr.measures import IntegrationConfig, g_covariance
 
 TOL = 2e-4  # quadrature assertion tolerance: max(10 abs_tol, 2e-4)
@@ -119,7 +121,8 @@ def xy_plane_covariance(model, lo_x, hi_x, lo_y, hi_y):
     fx, gy = model.margin_x, model.margin_y
 
     def integrand(y, x):
-        return model.joint_cdf(x, y) - fx.cdf(x) * gy.cdf(y)
+        u, v = _cdf(fx, x), _cdf(gy, y)
+        return _copula_cdf(model.copula, u, v) - u * v
 
     val, _ = dblquad(integrand, lo_x, hi_x, lo_y, hi_y, epsabs=1e-10)
     return val
@@ -259,14 +262,24 @@ def test_fgm_beta_is_linear_in_dependence_parameter():
         assert beta_h(model, spec) == pytest.approx(gamma * slope, abs=1e-4)
 
 
+@dataclasses.dataclass(frozen=True)
+class _FGMExcess(Copula):
+    """FGM on the 2-D route: the base method's quadrature of its excess."""
+
+    gamma: float
+
+    def excess(self, u, uc, v, vc):
+        return self.gamma * u * uc * v * vc
+
+
 @pytest.mark.parametrize("gamma", [-1.0, 1.0])
 def test_fgm_product_form_matches_the_2d_quadrature(gamma):
-    # FGM integrates its excess as 4 gamma g(A, U) g(B, U); the base method
-    # still runs the 2-D quadrature of gamma u(1-u) v(1-v) and is the oracle
+    # FGM integrates its excess as 4 gamma g(A, U) g(B, U); the 2-D quadrature of
+    # gamma u(1-u) v(1-v) is the oracle
     cfg = IntegrationConfig()
     for a in (Weibull(1, 2), Exponential(1)):
         for spec in NAMED:
-            want = Copula.dependence_integral(FGM(gamma), a, spec.h, cfg.abs_tol)
+            want = _FGMExcess(gamma).dependence_integral(a, spec.h, cfg.abs_tol)
             assert dependence_integral(FGM(gamma), a, spec.h) == pytest.approx(want, abs=1e-9)
 
 

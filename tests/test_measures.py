@@ -40,6 +40,7 @@ from qtcorr.measures import (
     log_odds_covariance,
     record_mean_gap,
 )
+from test_distributions import _cdf
 
 CFG = DEFAULT_CONFIG
 TOL = 10.0 * CFG.abs_tol
@@ -162,9 +163,9 @@ def test_gmd_examples_and_oracle():
     assert gmd(Exponential(1)) == pytest.approx(1.0, abs=TOL)
     assert gmd(Uniform(0, 1)) == pytest.approx(1 / 3, abs=TOL)
     assert gmd(Uniform(5.0, 5.0 + 1e-6)) == pytest.approx(0.0, abs=1e-6)
-    want = oracle_gmd(Weibull(1, 2).cdf, 0.0, 40.0)
+    want = oracle_gmd(lambda x: _cdf(Weibull(1, 2), x), 0.0, 40.0)
     assert gmd(Weibull(1, 2)) == pytest.approx(want, abs=1e-7)
-    want = oracle_gmd(Logistic(0, 1).cdf, -60.0, 60.0)
+    want = oracle_gmd(lambda x: _cdf(Logistic(0, 1), x), -60.0, 60.0)
     assert gmd(Logistic(0, 1)) == pytest.approx(want, abs=1e-7)
     assert gmd(Logistic(0, 1)) == pytest.approx(2.0, abs=TOL)
 
@@ -231,7 +232,7 @@ def test_gcre_examples():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_gcre_matches_direct_integral(law, hi, n):
     def sf(x):
-        return 1.0 - law.cdf(x)
+        return 1.0 - _cdf(law, x)
 
     assert gcre(law, n) == pytest.approx(oracle_gcre(sf, n, hi), abs=1e-6)
 
