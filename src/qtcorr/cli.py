@@ -1,8 +1,8 @@
 """Command-line front end: reference tables, ad-hoc correlations,
 estimation from CSV data, and standby-system decomposition.
 
-Exit codes: 0 success (tables: all cells within tolerance), 1 usage or
-parse error, 2 numerical failure, 3 tolerance breach in table mode.
+Exit codes: 0 success (tables: all cells within tolerance), 1 usage, parse
+or file error, 2 numerical failure, 3 tolerance breach in table mode.
 Output is byte-identical for identical flags and seed.
 """
 
@@ -273,7 +273,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:  # a file that cannot be read or written included
         print(f"qtcorr: error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

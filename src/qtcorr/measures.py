@@ -68,8 +68,8 @@ class IntegrationConfig:
     def __post_init__(self):
         if self.method not in ("quadrature", "monte_carlo"):
             raise DomainError(f"unknown method {self.method!r}")
-        if not self.abs_tol > 0.0:
-            raise DomainError("abs_tol must be positive")
+        if not 0.0 < self.abs_tol < math.inf:
+            raise DomainError(f"abs_tol must be positive and finite, got {self.abs_tol!r}")
         if self.mc_samples < 10**3:
             raise DomainError("mc_samples must be at least 1000")
 

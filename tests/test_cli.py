@@ -402,6 +402,22 @@ print(sorted(set(sys.modules) - before))
     assert done.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("estimate", "--input", "{tmp}/missing.csv", "--named", "gini"),
+        ("corr", "--copula", "fgm:0.5", "--fx", "exp:1", "--gy", "exp:1", "--h", "exp:1",
+         "--output", "{tmp}/no-such-dir/x"),
+    ],
+    ids=["input", "output"],
+)
+def test_a_file_error_is_a_usage_error_without_a_traceback(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("qtcorr: error: ") and "No such file or directory" in err
+    assert err.count("\n") == 1
+
+
 def test_numerical_failure_exit_code(capsys):
     # g(Pareto(0.9), Pareto(0.05)) integrates (1 - u)^-0.1 (1 - u)^-0.95, which diverges
     code, _, err = run_cli(

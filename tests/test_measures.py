@@ -413,6 +413,9 @@ def test_integration_config_validation():
         IntegrationConfig(method="magic")
     with pytest.raises(DomainError):
         IntegrationConfig(abs_tol=0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="^abs_tol must be positive"):
+            IntegrationConfig(abs_tol=bad)
     with pytest.raises(DomainError):
         IntegrationConfig(mc_samples=10)
 
