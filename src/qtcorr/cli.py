@@ -273,7 +273,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (DomainError, OSError) as exc:  # a file that cannot be read or written included
+    except (DomainError, OSError) as exc:  # OSError: an --input or --output path that fails
         print(f"qtcorr: error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:
