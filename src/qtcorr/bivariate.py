@@ -77,7 +77,7 @@ class Copula:
 
     def excess(self, u, uc, v, vc):
         """C(u, v) - u v with exact complements uc = 1-u, vc = 1-v."""
-        raise NotImplementedError
+        raise UnsupportedOperationError(f"{self.family} copula does not expose its excess")
 
     def dependence_integral(self, weight_u, weight_v, abs_tol: float) -> float:
         """integral of excess(u, v) qd_wu(u) qd_wv(v) over the unit square, in 2-D."""

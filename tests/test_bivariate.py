@@ -22,7 +22,8 @@ from qtcorr.bivariate import (
     reflect_x,
     reflect_y,
 )
-from qtcorr.distributions import Exponential, Logistic, Power, Uniform, Weibull
+from qtcorr.correlation import dependence_integral
+from qtcorr.distributions import Exponential, Logistic, Normal, Power, Uniform, Weibull
 from qtcorr.errors import DomainError, NumericalError, UnsupportedOperationError
 from test_distributions import _cdf
 
@@ -319,6 +320,9 @@ def test_sample_stays_inside_the_open_square(cop):
 def test_cond_inverse_unsupported_and_unconverged():
     with pytest.raises(UnsupportedOperationError):
         Copula().cond_inverse(0.5, 0.5)
+    # a copula with a sampler and no excess has no 2-D route either
+    with pytest.raises(UnsupportedOperationError, match="copula does not expose its excess"):
+        dependence_integral(Copula(), Normal(0, 1), Uniform(0, 1))
     with pytest.raises(UnsupportedOperationError):
         GaussianCopula(0.5).cond_inverse(0.5, 0.5)
     # w = 1 has no finite root in s = -log(1 - v): Newton must fail loudly
