@@ -27,12 +27,11 @@ Every index is a ratio of dependence covariances Cov(a(U), b(V)) and
 coupled-quantile covariances Cov(X, H^{-1} F(X)).  One memoised evaluator
 per (model, config), the last one retained, computes each once: by
 quadrature (every copula family), or, when the config asks for
-``method="monte_carlo"``, from one seeded sample drawn and ranked once.  A
-Monte Carlo value is the plug-in estimator of :mod:`qtcorr.estimation` on
-that sample: with strictly increasing margins, each index equals the
-estimator on the pairs (x, y), or (y, x) for the reversed index; rho_t does
-when the margins differ, and is pearson when they are equal, as under
-quadrature.
+``method="monte_carlo"``, on one seeded draw read through the ranked view of
+:mod:`qtcorr.estimation`, ranked by the copula's scores.  A Monte Carlo value
+is thus the data estimator on its draw: with strictly increasing margins,
+each index equals it on the pairs (x, y), or (y, x) for the reversed index;
+rho_t is pearson when the margins are equal, as under quadrature.
 Quadrature values also pass through the process-wide memo of
 :mod:`qtcorr.measures`, keyed on (copula, weight laws, abs_tol).
 """
@@ -53,7 +52,7 @@ from .distributions import (
     Uniform,
 )
 from .errors import DegenerateError, DomainError
-from .estimation import _cell_dots, _dot, _dot_at_average_ranks, _no_spread, _run_sums, _sorted_runs
+from .estimation import _Ranked
 from .measures import DEFAULT_CONFIG, IntegrationConfig, _once, g_covariance
 
 
@@ -159,61 +158,55 @@ class _Evaluator:
         den = _denominator([self.coupled(*c) for c in coupled], self.floor)
         return self.cross(*cross) / den
 
+    def beta(self, spec: CorrelationSpec) -> float:
+        return self.ratio((self.margins[_X], spec), (_X, spec))
 
-class _MonteCarlo(_Evaluator):
-    """The rank plug-in estimators on one seeded draw of the copula's scores u, v (U and V,
-    or normal scores), with X and Y mapped from them by ``score_quantile``.
+    def pearson(self) -> float:
+        f, g = self.margins
+        return self.ratio((f, g), (_X, f), (_Y, g))
 
-    Ranks are the scores', so a step margin that ties x where u is distinct still reads H at
-    u's ranks.  X and Y are centred once and kept read-only in the order of u and of v, and
-    one ``_cell_dots`` pass per transform law reads all four of its rank covariances.
-    """
+    def rho_t(self) -> float:
+        f, g = self.margins
+        return self.ratio((f, g), (_X, g), (_Y, f))
 
-    def __init__(self, model: BivariateModel, cfg: IntegrationConfig):
-        super().__init__(model, cfg)
-        self.floor = 0.0
-        rng = child_rng(cfg.seed, "correlation.beta_h")  # the tag fixes every MC value
-        scores = model.copula.scores(cfg.mc_samples, rng)
-        self.x, self.y = map(model.copula.score_quantile, self.margins, scores)
-        means = self.x.mean(), self.y.mean()
-        centred = self.x - means[0], self.y - means[1]
-        # per score: its tied-run bounds, then x and y in its order
-        self.by_score = [(b, *(c[o] for c in centred)) for o, _, b in map(_sorted_runs, scores)]
-        # each column's sum of squares in its own order; a constant column centres to ulp
-        # residues, not zeros, and every covariance of it is 0
-        self.squares = [_dot(s[1 + i], s[1 + i]) for i, s in enumerate(self.by_score)]
-        self.flat = [_no_spread(c, m, q) for c, m, q in zip((self.x, self.y), means, self.squares)]
-        for column in (self.x, self.y, *self.by_score[0][1:], *self.by_score[1][1:]):
-            column.flags.writeable = False
-        self._dots: dict[Distribution, list[float]] = {}
+
+class _Sampled(_Evaluator):
+    """The rank plug-ins on a ranked view of columns X and Y: a transform law on column j
+    reads score j's ranks, and no floor but 0 makes a denominator degenerate."""
+
+    def __init__(self, view: _Ranked, margins: tuple):
+        self.view, self.margins, self.floor = view, margins, 0.0
+        self.x, self.y = view.values  # the sample
+        self._memo: dict[tuple, float] = {}
+        self._cell_dots = functools.cache(view.cell_dots)  # per transform law
 
     def cov(self, a, i: int, b, j: int) -> float:
         if isinstance(a, CorrelationSpec):  # a covariance is symmetric: the spec goes second
             a, i, b, j = b, j, a, i
-        if self.flat[i] or (self.flat[j] and not isinstance(b, CorrelationSpec)):
-            return 0.0  # of a constant column's values (a spec reads column j's ranks only)
         if not isinstance(b, CorrelationSpec):  # two margins
             return super().cov(a, i, b, j)
-        if b.h not in self._dots:  # (x, y) at the ranks of u, then of v
-            columns = [(s[0], _run_sums(c, s[0])) for s in self.by_score for c in s[1:]]
-            self._dots[b.h] = _cell_dots(b.h, self.x.size, *columns)
-        return self._dots[b.h][2 * j + i] / (self.x.size - 1)
+        return float(self._cell_dots(b.h)[j, i])
 
     def _compute(self, a, i: int, b, j: int) -> float:  # two margins
-        bounds, ordered = self.by_score[i][0], self.by_score[i][1 + i]  # column i, sorted
-        if i != j:
-            dot = _dot(*self.by_score[0][1:])  # Cov(X, Y)
-        elif a == b:
-            dot = self.squares[i]
-        else:  # rho_t's Cov(X, G^{-1}F(X)): the sorted column against the other one sorted
-            other = self.by_score[1 - i][2 - i]
-            dot = _dot_at_average_ranks(bounds, _run_sums(ordered, bounds), other)
-        return dot / (self.x.size - 1)
+        if i == j and a != b:  # rho_t's Cov(X, G^{-1}F(X))
+            return self.view.average_rank_dot(i)
+        return self.view.moment(i, j)
 
 
 @functools.lru_cache(maxsize=1)  # keyed on (model, cfg); holds the last model's
 def _evaluator(model: BivariateModel, cfg: IntegrationConfig) -> _Evaluator:
-    return (_MonteCarlo if cfg.method == "monte_carlo" else _Evaluator)(model, cfg)
+    """Quadrature, or the plug-ins on one seeded draw of the copula's scores u, v (U and V,
+    or normal scores), with X and Y mapped from them by ``score_quantile``: a step margin
+    that ties x where u is distinct still reads H at u's ranks."""
+    if cfg.method != "monte_carlo":
+        return _Evaluator(model, cfg)
+    rng = child_rng(cfg.seed, "correlation.beta_h")  # the tag fixes every MC value
+    scores = model.copula.scores(cfg.mc_samples, rng)
+    margins = (model.margin_x, model.margin_y)
+    values = tuple(map(model.copula.score_quantile, margins, scores))
+    for column in values:
+        column.flags.writeable = False
+    return _Sampled(_Ranked(values, tuple((score, (_X, _Y)) for score in scores)), margins)
 
 
 def beta_h(
@@ -222,7 +215,7 @@ def beta_h(
     cfg: IntegrationConfig = DEFAULT_CONFIG,
 ) -> float:
     """H-transformed correlation of (X, Y) under the model."""
-    return _evaluator(model, cfg).ratio((model.margin_x, spec), (_X, spec))
+    return _evaluator(model, cfg).beta(spec)
 
 
 def beta_h_reversed(
@@ -236,8 +229,7 @@ def beta_h_reversed(
 
 def pearson(model: BivariateModel, cfg: IntegrationConfig = DEFAULT_CONFIG) -> float:
     """Pearson correlation, with Cov(X, Y) via the dependence integral."""
-    f, g = model.margin_x, model.margin_y
-    return _evaluator(model, cfg).ratio((f, g), (_X, f), (_Y, g))
+    return _evaluator(model, cfg).pearson()
 
 
 def rho_t(model: BivariateModel, cfg: IntegrationConfig = DEFAULT_CONFIG) -> float:
@@ -246,8 +238,7 @@ def rho_t(model: BivariateModel, cfg: IntegrationConfig = DEFAULT_CONFIG) -> flo
     Normalizes Cov(X, Y) by the coupled-quantile covariances instead of
     the standard deviations, so |rho_t| >= |pearson| always.
     """
-    f, g = model.margin_x, model.margin_y
-    return _evaluator(model, cfg).ratio((f, g), (_X, g), (_Y, f))
+    return _evaluator(model, cfg).rho_t()
 
 
 def rho_t_scale(model: BivariateModel, cfg: IntegrationConfig = DEFAULT_CONFIG) -> float:
@@ -273,8 +264,7 @@ def fgm_beta_closed_form(
     FGM's dependence integral, which is that GMD product.  Integrated, never
     sampled, whatever ``cfg.method`` says.
     """
-    model = BivariateModel(FGM(gamma), f, f)
-    return _Evaluator(model, cfg).ratio((f, spec), (_X, spec))
+    return _Evaluator(BivariateModel(FGM(gamma), f, f), cfg).beta(spec)
 
 
 def symmetric_tau(model, spec, cfg: IntegrationConfig = DEFAULT_CONFIG) -> float:

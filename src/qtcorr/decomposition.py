@@ -9,12 +9,11 @@ exactly into per-component shares,
 
 with every share coefficient in [0, 1].  T has no closed-form law in
 general, so a seeded Monte Carlo convolution sample, drawn once per (system,
-n, seed) for both reports, stands for it.  Its system-side numbers take the
-estimators' rank-cell route, sorted centred columns in one pass of a law's
-cells per column size: each coefficient is the plug-in estimator of beta_G
-on the pairs (x_i, t), system measures are T's empirical law against their
-weight laws, component measures come from quadrature and standard errors
-are 10 batch means.
+n, seed) for both reports, stands for it.  Its system-side numbers read the
+estimators' ranked view with T as the shared score: each coefficient is the
+plug-in estimator of beta_G on the pairs (x_i, t), system measures are T's
+empirical law against their weight laws, component measures come from
+quadrature and standard errors are 10 batch means.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ import numpy as np
 
 from .bivariate import child_rng
 from .distributions import Distribution, Exponential, Pareto, Power, Uniform, Weibull
-from .errors import DomainError
-from .estimation import _coupled_dots, _dot, _run_sums, _sorted_column, _sorted_runs
+from .errors import DegenerateError, DomainError
+from .estimation import _Ranked
 from .measures import DEFAULT_CONFIG, IntegrationConfig, g_covariance
 
 _N_BATCHES = 10
@@ -102,24 +101,19 @@ def decompose(
         return DecompositionResult(((1.0, c1),), c1, c1, 0.0)
 
     xs, t = _system_sample(system, mc_samples, seed)
-    order, _, bounds = _sorted_runs(t)
-    # t and each component in the order of t, then each component and each batch of t
-    # sorted on its own, all centred: one pass of G's cells per column size reads them all
-    shares = [(bounds, _run_sums(c[order] - c.mean(), bounds)) for c in (t, *xs)]
-    batches = np.array_split(t, _N_BATCHES)
-    own = [_sorted_column(c) for c in (*xs, *batches)]
-    dots = _coupled_dots(g, shares + own)
-    k = system.n
-    mc_estimate, *covs = (d / (mc_samples - 1) for d in dots[: 2 * k + 1])
-    betas = []
-    for i, (num, den) in enumerate(zip(covs[:k], covs[k:])):
-        if not den > 0.0:
-            raise DomainError(f"component {i} has a degenerate lifetime law")
-        betas.append(num / den)
+    k, batches = system.n, np.array_split(t, _N_BATCHES)
+    # t ranks itself and every component; each component and each batch of t ranks itself
+    dots = _Ranked((t, *xs, *batches), ((0, tuple(range(k + 1))),)).cell_dots(g)
+    own = np.diagonal(dots)  # each column against G's cells at its own ranks
+    for i in range(k):
+        if not own[1 + i] > 0.0:  # a component without spread
+            raise DegenerateError(f"component {i} has a degenerate lifetime law")
+    betas = dots[0, 1 : k + 1] / own[1 : k + 1]
     total = float(np.dot(betas, c_terms))
 
     # batch-means error of mc_estimate, the independent plug-in estimate of C(T, Y)
-    est_b = [d / (b.size - 1) for d, b in zip(dots[2 * k + 1 :], batches)]
+    mc_estimate = float(own[0]) / (mc_samples - 1)
+    est_b = own[k + 1 :] / [b.size - 1 for b in batches]
     mc_se = float(np.std(est_b, ddof=1) / math.sqrt(_N_BATCHES))
     return DecompositionResult(
         tuple((float(b), float(c)) for b, c in zip(betas, c_terms)),
@@ -173,20 +167,16 @@ def subadditivity_report(
         return [SubadditivityRow(name, value, value, 0.0, 0.0) for name, value in rows]
 
     _, t = _system_sample(system, mc_samples, seed)
-    columns = []  # T's full sample and its batches, each sorted once and centred
-    for c in (t, *np.array_split(t, _N_BATCHES)):
-        ordered = np.sort(c)
-        ordered -= ordered.mean()
-        columns.append((None, ordered))
-    sizes = np.array([w.size for _, w in columns])
+    view = _Ranked((t, *np.array_split(t, _N_BATCHES)))  # T's full sample and its batches
+    sizes = np.array([c.size for c in view.values])
     # g(T, W) on the full sample, then on each batch: one pass of W's cells per column size
-    g_of_t = functools.cache(lambda w: np.array(_coupled_dots(w, columns)) / sizes)
+    g_of_t = functools.cache(lambda w: np.diagonal(view.cell_dots(w)) / sizes)
 
     def se(per_batch) -> float:
         return float(np.std(per_batch, ddof=1) / math.sqrt(_N_BATCHES))
 
     # Var(T) <= sum_i C(X_i, T): both sides depend on the system sample.
-    var = np.array([_dot(w, w) for _, w in columns]) / sizes
+    var = np.array([view.moment(s, s) for s in range(sizes.size)]) / sizes
     shares = sum(g_of_t(comp) for comp in comps)
     full = (float(x[0]) for x in (var, shares, shares - var))
     rows = [SubadditivityRow("var-bound", *full, se((shares - var)[1:]))]

@@ -1,34 +1,30 @@
 """Rank-based plug-in estimation of the transformed correlations.
 
 The estimators replace the population marginal CDFs by ranks and the
-population covariances by sample covariances.  A sample is sorted and
-centred once for all estimators: one sample's sorted view (3n floats,
-centred in place) is kept at a time, with x summed over each tied run, and
-it is released before the next sample's view is built.  Every rank
-covariance is a blocked dot product in sorted order that allocates nothing
-of the sample's size; the tied denominators of the Q-transform plug-in
-rho_t are dots of run sums with each run's average-rank values.
+population covariances by sample covariances.  Every rank plug-in in qtcorr
+reads one ranked view (``_Ranked``) of value columns in the order of score
+columns: these estimators, whose scores are the sample's own columns, the
+Monte Carlo indices, ranked by the copula's scores, and the standby
+decomposition, ranked by the system lifetime.  A sample's view is sorted x,
+sorted y and x in the order of y, centred (3n floats), and the last sample's
+view is released before the next one is built.  Variances and Cov(x, y)
+come from one rank-free blocked scan, so Pearson sorts nothing.  Every
+covariance of a column without spread is 0, so a ratio over it raises
+``DegenerateError``.
 
 Transform-law quantiles are exact averages over each rank's probability
 cell, from the law's partial quantile integrals QI; this keeps the values
 finite for unbounded laws and, unlike the bare rank / (n + 1) plug-in,
 stays unbiased enough for heavy-tailed transforms whose pointwise
 quantiles have infinite variance.  A law without exact partial integrals
-raises ``UnsupportedOperationError``.  A plug-in covariance is a sum over
-the tied runs of the sorted column: the partner summed over the run times
-the run's mean cell, n * dQI / size, less the mean over all cells.  The cells
-are those of H's standard shape H0, since the centring cancels H's location:
-``_cell_dots(h)`` is scale times ``_cell_dots(h0)``.  Each
-column takes its own route, also when only one of the two is tied: the
-tied columns read QI at their run edges only, and the untied ones share
-one stream of the cells in blocks of 16,384; no estimator builds the
-n-cell grid.  It is the one route of every step law: the Monte Carlo indices
-are these estimators on their drawn samples, and ``g_covariance`` of a step law
-and the standby reports read sorted, centred columns the same way.
-
-Ties have zero probability under continuous laws but occur in real data:
-a tied run shares one value (the mean of its cells), and each plug-in
-call warns once per tied column at the caller.
+raises ``UnsupportedOperationError``.  A rank covariance is a blocked dot
+product over the score's tied runs: the value column summed over a run
+times the run's mean cell of H's standard shape, less the mean of all
+cells.  Tied columns read QI at their run edges only and untied ones share
+one stream of the cells, so nothing builds the n-cell grid; rho_t's tied
+denominators read each run at its average rank.  A tied run shares one
+value (the mean of its cells), and each plug-in call warns once per tied
+data column at the caller.
 
 No bias correction or interval machinery is attempted here: this is the
 straight plug-in, one defensible choice among several (jackknifed or
@@ -38,6 +34,7 @@ U-statistic variants would be equally natural).
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import sys
 import warnings
@@ -46,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import _BLOCK, Distribution, Empirical, _cell_blocks
-from .errors import DegenerateError, DomainError
+from .errors import DomainError
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,33 +71,12 @@ class PairedSample:
         return int(self.x.size)
 
 
-def _warn_ties(bx, by) -> None:
-    """Warn once per column with tied runs, at the first frame outside this module."""
-    frame, level = sys._getframe(), 1
-    while frame is not None and frame.f_globals.get("__name__") == __name__:
-        frame, level = frame.f_back, level + 1
-    for label, bounds in (("x", bx), ("y", by)):
-        if bounds is not None:
-            warnings.warn(f"ties in the {label} column resolved by average ranks", stacklevel=level)
-
-
 def _runs(ordered: np.ndarray) -> np.ndarray | None:
     """Tied-run bounds of sorted values, or None: runs are positions [bounds[k], bounds[k + 1])."""
     distinct = ordered[1:] != ordered[:-1]
     if distinct.all():
         return None
     return np.append(np.flatnonzero(np.r_[True, distinct]), ordered.size)
-
-
-def _sorted_runs(column: np.ndarray):
-    """One sort of a column: (order, sorted values, tied-run bounds or None).
-
-    The sort need not be stable, since a tied run shares one value; callers
-    that discard the order sort with ``np.sort`` and call ``_runs``.
-    """
-    order = np.argsort(column)
-    ordered = column[order]
-    return order, ordered, _runs(ordered)
 
 
 def _run_sums(values: np.ndarray, bounds: np.ndarray | None) -> np.ndarray:
@@ -151,83 +127,6 @@ def _cell_dots(h: Distribution, n: int, *columns) -> list:
     return [scale * d for d in dots]
 
 
-def _sorted_column(column: np.ndarray):
-    """A column of ``_cell_dots`` from its values: sorted once, centred, summed over tied runs."""
-    ordered = np.sort(column)
-    bounds = _runs(ordered)
-    ordered -= ordered.mean()  # after finding runs: centring can merge distinct values
-    return bounds, _run_sums(ordered, bounds)
-
-
-def _coupled_dots(h: Distribution, columns) -> list:
-    """``_cell_dots`` of H for columns of any sizes (bounds' end, or untied, length), one pass
-    of H's cells per distinct size: n times a step law's g with H, n - 1 times a plug-in."""
-    sizes = [w.size if b is None else int(b[-1]) for b, w in columns]
-    dots = [0.0] * len(columns)
-    for n in dict.fromkeys(sizes):
-        picked = [i for i, size in enumerate(sizes) if size == n]
-        for i, dot in zip(picked, _cell_dots(h, n, *(columns[i] for i in picked))):
-            dots[i] = dot
-    return dots
-
-
-_ranked_memo: dict = {}  # the last ranked sample (keyed on its identity) and its view
-
-
-def _ranked(sample: PairedSample):
-    """(sorted x, its tied-run bounds, sorted y, its bounds, x in the order of y), centred,
-    then x summed over each run of sorted x and of sorted y.
-
-    One sample's view is held at a time: the last one is released before the next is built.
-    """
-    if sample not in _ranked_memo:
-        _ranked_memo.clear()
-        xs = np.sort(sample.x)
-        oy, ys, by = _sorted_runs(sample.y)
-        bx, x_by_y = _runs(xs), sample.x[oy]
-        for column in (xs, ys, x_by_y):  # after finding runs: centring can merge distinct values
-            column -= column.mean()
-        _ranked_memo[sample] = xs, bx, ys, by, x_by_y, _run_sums(xs, bx), _run_sums(x_by_y, by)
-    return _ranked_memo[sample]
-
-
-def estimate_beta_h(sample: PairedSample, h: Distribution) -> float:
-    """Plug-in transformed correlation of the sample under transform law h.
-
-    Ratio of the sample covariance of (x, H^{-1}(G_hat(y))) to that of
-    (x, H^{-1}(F_hat(x))); exactly 1 on comonotone data and invariant
-    under strictly increasing transforms of the y column.
-    """
-    _, bx, _, by, _, wx, wy = _ranked(sample)
-    _warn_ties(bx, by)
-    den, num = _cell_dots(h, sample.n, (bx, wx), (by, wy))
-    if not den > 0.0 or (bx is not None and bx.size == 2):  # or x is one tied run
-        raise DegenerateError("degenerate plug-in denominator")
-    return num / den
-
-
-def _dot_at_average_ranks(bounds, run_sums: np.ndarray, other_sorted: np.ndarray) -> float:
-    """Dot of a sorted column with other_sorted at each position's rank, from the column
-    summed over its tied runs: a run reads other_sorted by np.interp at its average rank."""
-    if bounds is None:
-        return _dot(run_sums, other_sorted)
-    twice_mid = bounds[:-1] + bounds[1:] - 1
-    mid = 0.5 * (other_sorted[twice_mid // 2] + other_sorted[(twice_mid + 1) // 2])
-    return _dot(run_sums, mid)
-
-
-def _rho_t_hat(sample: PairedSample) -> float:
-    # Q-transform plug-in: empirical quantiles paired through ranks.
-    xs, bx, ys, by, x_by_y, wx, _ = _ranked(sample)
-    _warn_ties(bx, by)
-    # G_hat^{-1}(F_hat(x_i)) pairs each x with the y order statistic at x's rank;
-    # against a centred column, a dot product is already n - 1 times the covariance.
-    den = _dot_at_average_ranks(bx, wx, ys) * _dot_at_average_ranks(by, _run_sums(ys, by), xs)
-    if not den > 0.0:
-        raise DegenerateError("degenerate plug-in denominator")
-    return _dot(x_by_y, ys) / np.sqrt(den)
-
-
 def _no_spread(column: np.ndarray, mean: float, squares: float) -> bool:
     """Whether a column has zero sample variance, from its sum of squares about its mean.
 
@@ -239,29 +138,148 @@ def _no_spread(column: np.ndarray, mean: float, squares: float) -> bool:
     return squares <= column.size * (1e-12 * mean) ** 2 and column.min() == column.max()
 
 
+class _Ranked:
+    """Value columns in the order of score columns, each pair built on first read.
+
+    ``scores[s]`` is (score, the value columns it ranks): a score given as an index is that
+    value column, each column past those listed is its own, and score s always ranks column
+    s.  A score is sorted once: a column that is its own only partner by ``np.sort``, the
+    partners of any other score by one ``argsort``, after which a drawn score is released.
+    Every covariance is a dot product, n - 1 times the sample one, and 0 for a column
+    without spread (``_no_spread``).
+    """
+
+    def __init__(self, values: tuple, scores: tuple = ()):
+        self.values = values
+        self.scores = [*scores, *((i, (i,)) for i in range(len(scores), len(values)))]
+        self.pairs: dict = {}  # (score, value) -> (bounds, run sums, centred column)
+
+    def __iter__(self):
+        """Every array the view has built."""
+        return (a for p in self.pairs.values() for a in p if a is not None)
+
+    def pair(self, s: int, i: int):
+        """(score s's tied-run bounds or None, column i in its order centred and summed over
+        each run, that centred column), ranking the score on first use."""
+        if self.scores[s] is not None:
+            score, ranked = self.scores[s]
+            own = isinstance(score, int)
+            if own and ranked == (score,):
+                columns = [np.sort(self.values[score])]
+                bounds = _runs(columns[0])
+            else:
+                order = np.argsort(self.values[score] if own else score)
+                columns = [self.values[k][order] for k in ranked]
+                bounds = _runs(columns[ranked.index(score)] if own else score[order])
+            self.scores[s] = None
+            for k, column in zip(ranked, columns):
+                column -= column.mean()  # after finding runs: centring can merge distinct values
+                column.flags.writeable = False
+                self.pairs[s, k] = bounds, _run_sums(column, bounds), column
+        return self.pairs[s, i]
+
+    @functools.cached_property
+    def _moments(self):
+        """Each column's sum of squares about its mean, the cross sum of a pair's two columns
+        and which columns have no spread: one rank-free scan, block by block."""
+        values = self.values
+        means = [c.mean() for c in values]
+        squares, cross = [0.0] * len(values), 0.0
+        for k in range(0, max(c.size for c in values), _BLOCK):
+            blocks = {i: c[k : k + _BLOCK] - means[i] for i, c in enumerate(values) if k < c.size}
+            for i, b in blocks.items():
+                squares[i] += _dot(b, b)
+            if len(values) == 2:
+                cross += _dot(*blocks.values())
+            del blocks, b  # before the next block's columns are made
+        return squares, cross, [_no_spread(*m) for m in zip(values, means, squares)]
+
+    def moment(self, i: int, j: int) -> float:
+        """Column i's sum of squares (j == i), or a pair's cross sum."""
+        squares, cross, flat = self._moments
+        if flat[i] or flat[j]:
+            return 0.0
+        return squares[i] if i == j else cross
+
+    def average_rank_dot(self, i: int) -> float:
+        """rho_t's Cov(X, G^{-1}F(X)): column i sorted against the other column sorted, which
+        a tied run of column i reads at its average rank."""
+        if self._moments[2][i]:
+            return 0.0
+        bounds, sums, _ = self.pair(i, i)
+        other = self.pair(1 - i, 1 - i)[2]
+        if bounds is None:
+            return _dot(sums, other)
+        twice_mid = bounds[:-1] + bounds[1:] - 1
+        return _dot(sums, 0.5 * (other[twice_mid // 2] + other[(twice_mid + 1) // 2]))
+
+    def cell_dots(self, h: Distribution) -> np.ndarray:
+        """dots[s, i]: column i in score s's order against H's centred cells at those ranks,
+        for every pair: one ``_cell_dots`` pass of H's cells per column size."""
+        for s in range(len(self.scores)):
+            self.pair(s, s)
+        dots = np.zeros((len(self.scores), len(self.values)))
+        for n in dict.fromkeys(c.size for c in self.values):
+            keys = [k for k in self.pairs if self.values[k[1]].size == n]
+            dots[tuple(zip(*keys))] = _cell_dots(h, n, *(self.pairs[k][:2] for k in keys))
+        dots[:, self._moments[2]] = 0.0
+        return dots
+
+
+_COLUMNS = ("x", "y")  # a paired sample's columns, standing for its margins
+_ranked_memo: dict = {}  # the last sample (keyed on its identity) and its view
+
+
+def _sample_view(sample: PairedSample) -> _Ranked:
+    """A paired sample's view, x and y their own scores and y also ranking x.  One view is
+    held at a time: the last sample's is released before the next one is built."""
+    if sample not in _ranked_memo:
+        _ranked_memo.clear()
+        _ranked_memo[sample] = _Ranked((sample.x, sample.y), ((0, (0,)), (1, (1, 0))))
+    return _ranked_memo[sample]
+
+
+def _warn_ties(view: _Ranked) -> None:
+    """Warn once per tied column, at the first frame outside this module."""
+    frame, level = sys._getframe(), 1
+    while frame is not None and frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    for s, label in enumerate(_COLUMNS):
+        if view.pair(s, s)[0] is not None:
+            warnings.warn(f"ties in the {label} column resolved by average ranks", stacklevel=level)
+
+
+def estimate_beta_h(sample: PairedSample, h: Distribution) -> float:
+    """Plug-in transformed correlation of the sample under transform law h.
+
+    Ratio of the sample covariance of (x, H^{-1}(G_hat(y))) to that of
+    (x, H^{-1}(F_hat(x))); exactly 1 on comonotone data and invariant
+    under strictly increasing transforms of the y column.
+    """
+    from .correlation import CorrelationSpec, _Sampled  # deferred: avoids an import cycle
+
+    view = _sample_view(sample)
+    _warn_ties(view)
+    return _Sampled(view, _COLUMNS).beta(CorrelationSpec(h))
+
+
 def estimate_named(sample: PairedSample, which: str, nu: float | None = None) -> float:
     """Sample analogue of a named correlation index.
 
     which: pearson | gini | egini (requires nu, which no other index takes) | or_based |
     cre_based | rho_t
     """
-    from .correlation import named_transform  # deferred: avoids an import cycle
+    from .correlation import _Sampled, named_transform  # deferred: avoids an import cycle
 
     if nu is not None and which != "egini":
         raise DomainError(f"the weight nu applies only to egini, not to {which!r}")
-    if which == "pearson":
-        mx, my, vx, vy, vxy = sample.x.mean(), sample.y.mean(), 0.0, 0.0, 0.0
-        for k in range(0, sample.n, _BLOCK):  # no ranks needed; centred block by block
-            x, y = sample.x[k : k + _BLOCK] - mx, sample.y[k : k + _BLOCK] - my
-            vx, vy, vxy = vx + _dot(x, x), vy + _dot(y, y), vxy + _dot(x, y)
-            del x, y  # before the next block's pair is made
-        if _no_spread(sample.x, mx, vx) or _no_spread(sample.y, my, vy):
-            raise DegenerateError("zero sample variance")
-        return vxy / np.sqrt(vx * vy)
-    if which == "rho_t":
-        return _rho_t_hat(sample)
-    spec = named_transform(which, nu)
-    return estimate_beta_h(sample, spec.h)
+    if which not in ("pearson", "rho_t"):
+        return estimate_beta_h(sample, named_transform(which, nu).h)
+    view = _sample_view(sample)
+    if which == "pearson":  # no ranks
+        return _Sampled(view, _COLUMNS).pearson()
+    _warn_ties(view)
+    return _Sampled(view, _COLUMNS).rho_t()
 
 
 def load_pairs_csv(path: str) -> PairedSample:

@@ -569,7 +569,7 @@ def test_monte_carlo_sample_is_read_only():
     spec = named_transform("cre_based")
     before = _all_indices(model, spec, cfg)
     ev = _evaluator(model, cfg)
-    for arr in (ev.x, ev.y, *ev.by_score[0][1:], *ev.by_score[1][1:]):
+    for arr in (ev.x, ev.y, *ev.view):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0

@@ -336,6 +336,21 @@ def test_one_sort_per_column(monkeypatch, which):
     assert others == []
 
 
+def test_pearson_reads_no_ranks(monkeypatch):
+    # Var(x), Var(y) and Cov(x, y) come from a rank-free scan: a fresh tied sample is
+    # neither sorted nor warned about
+    rng = np.random.default_rng(8)
+    x = np.round(rng.normal(size=10_000), 1)
+    sample = PairedSample(x, np.round(x + rng.normal(size=10_000), 1))
+    sorts = []
+    _counting(monkeypatch, sorts, "argsort")
+    _counting(monkeypatch, sorts, "sort")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        estimate_named(sample, "pearson")
+    assert sorts == []
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -370,7 +385,16 @@ def test_untied_sample_does_not_warn():
 
 # -- one sort per sample: identity, the ranked-view memo, sorted-order oracles --
 
-from qtcorr.estimation import _coupled_dots, _ranked, _ranked_memo, _sorted_column  # noqa: E402
+from qtcorr.estimation import _Ranked, _ranked_memo, _runs, _run_sums  # noqa: E402
+from qtcorr.estimation import _sample_view as _ranked  # noqa: E402
+
+
+def _sorted_column(column):
+    """Former decomposition helper: a column sorted once, centred, summed over tied runs."""
+    ordered = np.sort(column)
+    bounds = _runs(ordered)
+    ordered -= ordered.mean()
+    return bounds, _run_sums(ordered, bounds)
 
 _NAMED = [
     ("pearson", None),
@@ -495,7 +519,7 @@ def test_sorted_order_estimators_match_scatter_oracle(h):
         assert got == pytest.approx(_oracle_estimate_beta_h(sample, h), rel=1e-14, abs=0.0)
         for column in (x, y):  # the decomposition's self-covariances
             want = np.cov(column, _oracle_rank_cell_means(h, column))[0, 1]
-            got = _coupled_dots(h, [_sorted_column(column)])[0] / (column.size - 1)
+            got = _Ranked((column,)).cell_dots(h)[0, 0] / (column.size - 1)
             assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
@@ -516,7 +540,7 @@ def test_sorted_order_covariance_keeps_full_precision():
         cells = np.repeat([math.fsum(r) / r.size for r in runs], sizes)  # pooled grid
         mx, mc = math.fsum(xs) / x.size, math.fsum(cells) / x.size
         want = math.fsum((xs - mx) * (cells - mc)) / (x.size - 1)
-        got = _coupled_dots(h, [_sorted_column(x)])[0] / (x.size - 1)
+        got = _Ranked((x,)).cell_dots(h)[0, 0] / (x.size - 1)
         assert got == pytest.approx(want, rel=2e-15, abs=0.0)
 
 
@@ -639,7 +663,7 @@ def test_ties_are_found_before_centring():
 
 # -- rank-cell means without the grid: run edges and streamed cells -------------
 
-from qtcorr.estimation import _cell_blocks, _cell_dots, _run_sums  # noqa: E402
+from qtcorr.estimation import _cell_blocks, _cell_dots  # noqa: E402
 
 _CELL_SIZES = [3, 4, 5, 1000, 10**5 + 1]
 
@@ -864,8 +888,19 @@ def test_decomposition_shares_are_the_estimators_on_the_system_sample(g):
         warnings.simplefilter("error")
         want = [estimate_beta_h(PairedSample(x, t), g) for x in xs]
     assert [beta for beta, _ in result.terms] == pytest.approx(want, rel=0.0, abs=1e-15)
-    mc_estimate = _coupled_dots(g, [_sorted_column(t)])[0] / (t.size - 1)
+    mc_estimate = _cell_dots(g, t.size, _sorted_column(t))[0] / (t.size - 1)
     assert result.mc_estimate == pytest.approx(mc_estimate, rel=0.0, abs=1e-15)
+
+
+def test_decomposition_refuses_a_component_without_spread_as_the_estimator_does():
+    system = StandbySystem((Empirical([2.0] * 3), Exponential(1)))
+    xs, t = _system_sample(system, 20_000, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # x_0 is one tied run
+        with pytest.raises(DegenerateError):
+            estimate_beta_h(PairedSample(xs[0], t), Exponential(1))
+    with pytest.raises(DegenerateError, match="component 0 has a degenerate lifetime law"):
+        decompose(system, Exponential(1), 20_000, seed=4)
 
 
 @pytest.mark.parametrize("h", [Exponential(1), Pareto(0.5), Empirical(np.arange(1.0, 50.0))])
