@@ -390,11 +390,12 @@ from qtcorr.estimation import _sample_view as _ranked  # noqa: E402
 
 
 def _sorted_column(column):
-    """Former decomposition helper: a column sorted once, centred, summed over tied runs."""
+    """A column sorted once, centred and summed over its tied runs, as ``_cell_dots`` reads it."""
     ordered = np.sort(column)
     bounds = _runs(ordered)
     ordered -= ordered.mean()
     return bounds, _run_sums(ordered, bounds)
+
 
 _NAMED = [
     ("pearson", None),
