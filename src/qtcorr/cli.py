@@ -28,11 +28,9 @@ from .correlation import (
 from .decomposition import StandbySystem, decompose, subadditivity_report
 from .distributions import parse_distribution
 from .errors import DomainError, NumericalError
-from .estimation import estimate_beta_h, estimate_named, load_pairs_csv
+from .estimation import _NAMED_ESTIMATORS, estimate_beta_h, estimate_named, load_pairs_csv
 from .measures import IntegrationConfig
 from .tables import DEFAULT_TABLE_TOL, TABLE_IDS, run_table
-
-_NAMED_ESTIMATORS = ("pearson", "gini", "egini", "or_based", "cre_based", "rho_t")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -34,6 +34,7 @@ U-statistic variants would be equally natural).
 from __future__ import annotations
 
 import csv
+import encodings.utf_8_sig  # noqa: F401  (the CSV codec, loaded before any command's first open)
 import functools
 import math
 import sys
@@ -227,6 +228,7 @@ class _Ranked:
 
 
 _COLUMNS = ("x", "y")  # a paired sample's columns, standing for its margins
+_NAMED_ESTIMATORS = ("pearson", "gini", "egini", "or_based", "cre_based", "rho_t")
 _ranked_memo: dict = {}  # the last sample (keyed on its identity) and its view
 
 
@@ -271,6 +273,8 @@ def estimate_named(sample: PairedSample, which: str, nu: float | None = None) ->
     """
     from .correlation import _Sampled, named_transform  # deferred: avoids an import cycle
 
+    if (which := which.strip().lower()) not in _NAMED_ESTIMATORS:  # as named_transform reads it
+        raise DomainError(f"unknown index label {which!r}; expected one of {_NAMED_ESTIMATORS}")
     if nu is not None and which != "egini":
         raise DomainError(f"the weight nu applies only to egini, not to {which!r}")
     if which not in ("pearson", "rho_t"):
@@ -282,31 +286,54 @@ def estimate_named(sample: PairedSample, which: str, nu: float | None = None) ->
     return _Sampled(view, _COLUMNS).rho_t()
 
 
-def load_pairs_csv(path: str) -> PairedSample:
-    """Read a two-column numeric CSV; optional header; strict about rows.
+def _parsed(fh) -> np.ndarray | None:
+    """The (n, 2) pairs by numpy's C reader, or None: then the row loop decides."""
+    line = fh.readline()
+    row = line.rstrip("\r\n").split(",")  # as csv.reader splits one without quotes or NUL
+    try:
+        x, y = map(float, row)
+        fh.seek(0)  # line 1 is data
+    except ValueError:  # a blank line 1 or a header is skipped; the loop names any other
+        if '"' in line or "\0" in line or ("".join(row).strip() and len(row) != 2):
+            return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's "input contained no data" among them
+            pairs = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    return pairs if pairs.shape[1] == 2 and np.isfinite(pairs).all() else None
 
-    Raises DomainError listing the 1-based line numbers of every malformed
-    row (wrong arity, non-numeric or non-finite fields such as ``nan`` or
-    ``inf``, which ``float`` accepts).
+
+def load_pairs_csv(path: str) -> PairedSample:
+    """Read a two-column CSV in UTF-8 (a BOM is allowed): rows of two finite numbers that
+    ``float`` reads, blank rows, and on line 1 an optional header of two fields.  A valid file
+    takes numpy's C reader, which reads a subset of what ``float`` reads and rounds alike; the
+    row loop raises DomainError naming the first byte that is not UTF-8, or the 1-based lines
+    of every malformed row (wrong arity, non-numeric, or non-finite such as ``nan``).
     """
-    xs: list[float] = []
-    ys: list[float] = []
-    bad: list[int] = []
-    isfinite = math.isfinite  # bound once: the check runs on every row
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            try:  # parse first; a row that fails is blank, a header or bad
-                x, y = row
-                x, y = float(x), float(y)
-            except ValueError:
-                if "".join(row).strip() and not (lineno == 1 and len(row) == 2):
+    xs, ys, bad = [], [], []
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        try:
+            pairs = _parsed(fh)
+            if pairs is not None:
+                return PairedSample(*pairs.T)
+            fh.seek(0)
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                try:  # parse first; a row that fails is blank, a header or bad
+                    x, y = row
+                    x, y = float(x), float(y)
+                except ValueError:
+                    if "".join(row).strip() and not (lineno == 1 and len(row) == 2):
+                        bad.append(lineno)
+                    continue
+                if not (math.isfinite(x) and math.isfinite(y)):
                     bad.append(lineno)
-                continue
-            if not (isfinite(x) and isfinite(y)):
-                bad.append(lineno)
-            xs.append(x)
-            ys.append(y)
+                xs.append(x)
+                ys.append(y)
+        except UnicodeDecodeError as exc:  # exc.object ends at the file's read position
+            at = fh.buffer.tell() - len(exc.object) + exc.start
+            raise DomainError(f"{path} is not UTF-8 text at byte offset {at}") from None
     if bad:
         raise DomainError(
             f"non-numeric or malformed rows at line(s): {', '.join(map(str, bad))}"

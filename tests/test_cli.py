@@ -418,6 +418,14 @@ def test_a_file_error_is_a_usage_error_without_a_traceback(capsys, tmp_path, arg
     assert err.count("\n") == 1
 
 
+def test_an_input_that_is_not_utf8_is_a_usage_error_without_a_traceback(capsys, tmp_path):
+    path = tmp_path / "pairs.csv"
+    path.write_bytes(b"x,y\n1,2\ncaf\xe9,3\n4,5\n6,7\n")
+    code, out, err = run_cli(capsys, "estimate", "--input", str(path), "--named", "gini")
+    assert code == 1 and out == ""
+    assert err == f"qtcorr: error: {path} is not UTF-8 text at byte offset 11\n"
+
+
 def test_numerical_failure_exit_code(capsys):
     # g(Pareto(0.9), Pareto(0.05)) integrates (1 - u)^-0.1 (1 - u)^-0.95, which diverges
     code, _, err = run_cli(

@@ -1,5 +1,6 @@
 """Plug-in estimators: exact algebraic cases and model consistency."""
 
+import csv
 import math
 import warnings
 
@@ -220,6 +221,153 @@ def test_load_pairs_csv_lists_malformed_lines(tmp_path, text, lines):
     with pytest.raises(DomainError) as err:
         load_pairs_csv(str(path))
     assert str(err.value) == f"non-numeric or malformed rows at line(s): {lines}"
+
+
+# Files for the two readers: (id, text, whether numpy's reader takes it, None where that is
+# numpy's own choice).  numpy reads a subset of what float() reads, so a file it refuses
+# goes to the row loop, and a file it takes must come out bit for bit as the loop reads it.
+_CSV_FILES = [
+    ("plain", "1.0,2.0\n3.5,-1.25\n4,5\n", True),
+    ("spaces", " 1.0 , 2.0 \n3 ,4\n 5, 6\n", True),
+    ("tabs", "1\t,\t2\n3,4\n5,6\n", True),
+    ("signs-and-exponents", "+1,.5\n5.,1e3\n-2E-3,+4.5e+2\n", True),
+    ("rounding", "2.2250738585072011e-308,0.1000000000000000055511151231257827\n"
+                 "1e-400,4.9e-324\n0.30000000000000004,1.7976931348623157e308\n", True),
+    ("crlf", "1,2\r\n3,4\r\n5,6\r\n", True),
+    ("cr-only", "x,y\r1,2\r3,4\r5,6\r", True),
+    ("mixed-endings", "1,2\r3,4\n5,6\r\n", True),
+    ("blank-rows", "1,2\n\n3,4\n\n5,6\n", True),
+    ("blank-line-1", "\n1,2\n3,4\n5,6\n", True),
+    ("hash-header", "#x,y\n1,2\n3,4\n5,6\n", True),
+    ("bom-header", "\ufeffx,y\n1,2\n3,4\n5,6\n", True),
+    ("bom-data", "\ufeff1.5,2\n3,4\n5,6\n7,8\n", True),
+    ("underscore", "1_0,2\n3,4\n5,6\n", False),
+    ("underscore-line-2", "1,2\n1_0,2\n3,4\n5,6\n", False),
+    ("hex", "1,2\n0x10,2\n3,4\n5,6\n", False),
+    ("non-finite", "1,2\nnan,3\n4,inf\nInfinity,1\n5,6\n", False),
+    ("non-finite-line-1", "nan,1\n1,2\n3,4\n5,6\n", False),
+    ("overflow-line-1", "1e400,1\n1,2\n3,4\n5,6\n", False),
+    ("whitespace-rows", "1,2\n  \n3,4\n\t\n5,6\n", False),
+    ("comma-rows", "1,2\n,\n3,4\n,\n5,6\n", False),
+    ("quoted", '"1","2"\n3,"4"\n5,6\n', False),
+    ("quoted-header", '"x","y"\n1,2\n3,4\n5,6\n', False),
+    ("quote-open-to-the-end", 'x,"y\n1,2\n3,4\n5,6\n', False),
+    ("quoted-newline-in-header", '"a\nb",y\n1,2\n3,4\n5,6\n', False),
+    ("hash-line", "# comment\n1,2\n3,4\n5,6\n", False),
+    ("hash-row", "1,2\n#3,4\n5,6\n7,8\n", False),
+    ("one-column", "1\n2\n3\n", False),
+    ("three-columns", "1,2,3\n4,5,6\n7,8,9\n", False),
+    ("trailing-commas", "1,2,\n3,4,\n5,6,\n", False),
+    ("header-trailing-comma", "x,y,\n1,2\n3,4\n5,6\n", False),
+    ("empty-field-line-1", "1,\n3,4\n5,6\n7,8\n", True),  # a header by the rule
+    ("empty-field-line-2", "1,2\n3,\n5,6\n7,8\n", False),
+    ("arabic-indic-digits", "\u0661,\u0662\n3,4\n5,6\n7,8\n", None),
+    ("nbsp", "1\xa0,2\n3,\xa04\n5,6\n", None),
+    ("one-row", "1,2\n", True),
+    ("header-only", "x,y\n", False),
+    ("empty", "", False),
+    ("nul-header", "x\0,y\n1,2\n3,4\n5,6\n", False),  # csv refuses NUL before 3.11
+    *(
+        (f"header-case-{i}", text, None)
+        for i, text in enumerate(
+            [
+                "1.0,2.0\n   \n3.0,4.0\n5,6\n",
+                "1.0,2.0\n,\n3.0,4.0\n \t, \n5,6\n",
+                '"1.0","2.0"\n3.0,"4.0"\n5,6\n',
+                "x,y\n1.0,2.0\n3.0,4.0\n5,6\n",
+                "1.0,y\n1.0,2.0\n3.0,4.0\n5,6\n",
+            ]
+        )
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "text, numpy_reads", [f[1:] for f in _CSV_FILES], ids=[f[0] for f in _CSV_FILES]
+)
+def test_numpys_reader_and_the_row_loop_read_a_file_alike(
+    tmp_path, monkeypatch, text, numpy_reads
+):
+    import qtcorr.estimation as estimation
+
+    path = tmp_path / "pairs.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+
+    def read():
+        try:
+            sample = load_pairs_csv(str(path))
+        except (DomainError, csv.Error) as exc:
+            return str(exc)
+        return sample.x.tobytes(), sample.y.tobytes()
+
+    taken = []
+    parsed = estimation._parsed
+    monkeypatch.setattr(estimation, "_parsed", lambda fh: taken.append(parsed(fh)) or taken[-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = read()
+    if numpy_reads is not None:
+        assert (taken[0] is not None) == numpy_reads
+    monkeypatch.setattr(estimation, "_parsed", lambda fh: None)
+    assert read() == fast
+
+
+def test_a_valid_file_never_reaches_the_row_loop(tmp_path, monkeypatch):
+    x, y = np.random.default_rng(3).normal(size=(2, 100_000))
+    path = tmp_path / "pairs.csv"
+    path.write_text("x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist())))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the row loop ran")
+
+    monkeypatch.setattr(csv, "reader", refuse)
+    sample = load_pairs_csv(str(path))
+    assert sample.x.tobytes() == x.tobytes() and sample.y.tobytes() == y.tobytes()
+
+
+def test_a_header_only_file_has_too_few_pairs_and_no_numpy_warning(tmp_path, recwarn):
+    path = tmp_path / "pairs.csv"
+    path.write_text("x,y\n")
+    with pytest.raises(DomainError, match="at least 3 pairs"):
+        load_pairs_csv(str(path))
+    assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize(
+    "text, n", [("x,y\n1.5,2\n3,4\n5,6\n", 3), ("1.5,2\n3,4\n5,6\n7,8\n", 4)],
+    ids=["header", "no-header"],
+)
+def test_a_byte_order_mark_is_not_a_header(tmp_path, text, n):
+    path = tmp_path / "pairs.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    sample = load_pairs_csv(str(path))
+    assert sample.n == n and sample.x[0] == 1.5
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+@pytest.mark.parametrize("at", [4, 8191, 8192, 50_000, -1])
+@pytest.mark.parametrize("bad", [b"\xe9", b"\xe2\x82"])  # a Latin-1 byte, a cut sequence
+def test_an_undecodable_byte_is_named_by_its_offset(tmp_path, bom, at, bad):
+    rows = b"x,y\n" + b"".join(b"%d,%d\n" % (i, i) for i in range(10_000))
+    data = bom + rows[:at] + bad + rows[at:] if at >= 0 else bom + rows + bad
+    path = tmp_path / "pairs.csv"
+    path.write_bytes(data)
+    with pytest.raises(DomainError) as err:
+        load_pairs_csv(str(path))
+    assert str(err.value) == f"{path} is not UTF-8 text at byte offset {data.index(bad)}"
+
+
+def test_estimate_named_reads_a_label_as_named_transform_does():
+    from qtcorr.cli import _NAMED_ESTIMATORS
+
+    s = PairedSample(np.arange(5.0), np.arange(5.0) ** 2)
+    assert estimate_named(s, " Pearson ") == estimate_named(s, "pearson")
+    assert estimate_named(s, "Rho_T") == estimate_named(s, "rho_t")
+    assert estimate_named(s, "GINI") == estimate_named(s, "gini")
+    assert estimate_named(s, "EGINI", 0.5) == estimate_named(s, "egini", 0.5)
+    with pytest.raises(DomainError) as err:
+        estimate_named(s, "kendall")
+    assert all(repr(label) in str(err.value) for label in _NAMED_ESTIMATORS)
 
 
 # -- one sort per column: oracles, counts, warnings ----------------------------
