@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+import warnings
 
 from .bivariate import BivariateModel, parse_copula
 from .correlation import (
@@ -270,7 +271,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        with warnings.catch_warnings():  # a library warning prints as one line, without source
+            warnings.showwarning = lambda msg, *_: print("qtcorr: warning:", msg, file=sys.stderr)
+            return args.fn(args)
     except (DomainError, OSError) as exc:  # OSError: an --input or --output path that fails
         print(f"qtcorr: error: {exc}", file=sys.stderr)
         return 1

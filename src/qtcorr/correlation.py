@@ -23,10 +23,10 @@ log-odds based one, exponential H the cumulative-residual-entropy based
 one, and Pareto/power H the extended Gini family.  H = G gives a
 variance-free Pearson variant whose magnitude dominates Pearson's.
 
-Every index is a ratio of dependence covariances Cov(a(U), b(V)) and
-coupled-quantile covariances Cov(X, H^{-1} F(X)).  One memoised evaluator
-per (model, config), the last one retained, computes each once: by
-quadrature (every copula family), or, when the config asks for
+Every index (beta_H either way, tau, nu, pearson and rho_t) is a method of one
+memoised evaluator per (model, config), the last one retained: a ratio of dependence
+covariances Cov(a(U), b(V)) and coupled-quantile covariances Cov(X, H^{-1} F(X)),
+each computed once by quadrature (every copula family), or, when the config asks for
 ``method="monte_carlo"``, on one seeded draw read through the ranked view of
 :mod:`qtcorr.estimation`, ranked by the copula's scores.  A Monte Carlo value
 is thus the data estimator on its draw: with strictly increasing margins,
@@ -120,11 +120,11 @@ _X, _Y = 0, 1  # the columns U and V, and the margins X = F^{-1}(U), Y = G^{-1}(
 
 
 class _Evaluator:
-    """The covariances a model's indices are ratios of, each computed once.
+    """A model's indices, as ratios of covariances that are each computed once.
 
-    ``cov(a, i, b, j)`` is Cov(a-image of column i, b-image of column j):
-    ``cross(a, b)`` across the copula, ``coupled(axis, b)`` along one margin
-    Z = X or Y.  Images are laws; a transform law comes as its spec.
+    ``cov(a, i, b, j)`` is Cov(a-image of column i, b-image of column j), and
+    ``coupled(axis, b)`` is one along margin Z = X or Y.  Images are laws; a
+    transform law comes as its spec.
     """
 
     def __init__(self, model: BivariateModel, cfg: IntegrationConfig):
@@ -133,33 +133,38 @@ class _Evaluator:
         self._memo: dict[tuple, float] = {}
 
     def cov(self, a, i: int, b, j: int) -> float:
-        key = self._key(a, i, b, j)
+        # a spec integrates as its law, so the two share one value
+        key = tuple(k.h if isinstance(k, CorrelationSpec) else k for k in (a, i, b, j))
         if key not in self._memo:
             self._memo[key] = self._compute(*key)
         return self._memo[key]
-
-    def _key(self, *key) -> tuple:
-        # a spec integrates as its law, so the two share one value
-        return tuple(k.h if isinstance(k, CorrelationSpec) else k for k in key)
 
     def _compute(self, a, i: int, b, j: int) -> float:  # by quadrature
         if i == j:
             return g_covariance(a, b, self.cfg)
         return dependence_integral(self.model.copula, a, b, self.cfg)
 
-    def cross(self, a, b) -> float:
-        return self.cov(a, _X, b, _Y)
-
     def coupled(self, axis: int, b) -> float:
         return self.cov(self.margins[axis], axis, b, axis)
 
     def ratio(self, cross: tuple, *coupled: tuple) -> float:
-        """cross over a coupled covariance (or two's geometric mean), denominator first."""
+        """Cov(a(X), b(Y)) for cross (a, b) over coupled (axis, b), or two's geometric mean."""
         den = _denominator([self.coupled(*c) for c in coupled], self.floor)
-        return self.cross(*cross) / den
+        return self.cov(cross[0], _X, cross[1], _Y) / den
 
     def beta(self, spec: CorrelationSpec) -> float:
         return self.ratio((self.margins[_X], spec), (_X, spec))
+
+    def beta_reversed(self, spec: CorrelationSpec) -> float:
+        return self.ratio((spec, self.margins[_Y]), (_Y, spec))
+
+    def tau(self, spec: CorrelationSpec) -> float:
+        return 0.5 * (self.beta(spec) + self.beta_reversed(spec))
+
+    def nu(self, spec: CorrelationSpec) -> float:
+        b_xy, b_yx = self.beta(spec), self.beta_reversed(spec)
+        eta_x, eta_y = self.coupled(_X, spec), self.coupled(_Y, spec)
+        return (eta_x * b_xy + eta_y * b_yx) / (eta_x + eta_y)
 
     def pearson(self) -> float:
         f, g = self.margins
@@ -171,14 +176,14 @@ class _Evaluator:
 
 
 class _Sampled(_Evaluator):
-    """The rank plug-ins on a ranked view of columns X and Y: a transform law on column j
-    reads score j's ranks, and no floor but 0 makes a denominator degenerate."""
+    """The rank plug-ins on a ranked view of columns X and Y: a law on column j reads score j's
+    ranks, a ratio only the columns another score ranks, and only 0 is a degenerate denominator."""
 
     def __init__(self, view: _Ranked, margins: tuple):
         self.view, self.margins, self.floor = view, margins, 0.0
-        self.x, self.y = view.values  # the sample
         self._memo: dict[tuple, float] = {}
-        self._cell_dots = functools.cache(view.cell_dots)  # per transform law
+        read = {i for s, i in view.keys if s != i}
+        self._cell_dots = functools.cache(functools.partial(view.cell_dots, columns=read))
 
     def cov(self, a, i: int, b, j: int) -> float:
         if isinstance(a, CorrelationSpec):  # a covariance is symmetric: the spec goes second
@@ -224,7 +229,7 @@ def beta_h_reversed(
     cfg: IntegrationConfig = DEFAULT_CONFIG,
 ) -> float:
     """H-transformed correlation with the roles of X and Y exchanged."""
-    return _evaluator(model, cfg).ratio((spec, model.margin_y), (_Y, spec))
+    return _evaluator(model, cfg).beta_reversed(spec)
 
 
 def pearson(model: BivariateModel, cfg: IntegrationConfig = DEFAULT_CONFIG) -> float:
@@ -269,15 +274,12 @@ def fgm_beta_closed_form(
 
 def symmetric_tau(model, spec, cfg: IntegrationConfig = DEFAULT_CONFIG) -> float:
     """Arithmetic mean of the two directed transformed correlations."""
-    return 0.5 * (beta_h(model, spec, cfg) + beta_h_reversed(model, spec, cfg))
+    return _evaluator(model, cfg).tau(spec)
 
 
 def symmetric_nu(model, spec, cfg: IntegrationConfig = DEFAULT_CONFIG) -> float:
     """Weighted symmetric version, weights eta = Cov(margin, transformed rank)."""
-    b_xy, b_yx = beta_h(model, spec, cfg), beta_h_reversed(model, spec, cfg)
-    ev = _evaluator(model, cfg)
-    eta_x, eta_y = ev.coupled(_X, spec), ev.coupled(_Y, spec)
-    return (eta_x * b_xy + eta_y * b_yx) / (eta_x + eta_y)
+    return _evaluator(model, cfg).nu(spec)
 
 
 def symmetric_nu_bar(model, spec, cfg: IntegrationConfig = DEFAULT_CONFIG) -> float:

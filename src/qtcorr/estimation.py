@@ -6,11 +6,11 @@ reads one ranked view (``_Ranked``) of value columns in the order of score
 columns: these estimators, whose scores are the sample's own columns, the
 Monte Carlo indices, ranked by the copula's scores, and the standby
 decomposition, ranked by the system lifetime.  A sample's view is sorted x,
-sorted y and x in the order of y, centred (3n floats), and the last sample's
-view is released before the next one is built.  Variances and Cov(x, y)
-come from one rank-free blocked scan, so Pearson sorts nothing.  Every
-covariance of a column without spread is 0, so a ratio over it raises
-``DegenerateError``.
+sorted y and x in the order of y, centred (3n floats); its ratios stream H's
+cells against the two x columns only, as sorted y serves rho_t and the tie
+warning alone.  Variances and Cov(x, y) come from one rank-free blocked scan,
+so Pearson sorts nothing.  Every covariance of a column without spread is 0,
+so a ratio over it raises ``DegenerateError``.
 
 Transform-law quantiles are exact averages over each rank's probability
 cell, from the law's partial quantile integrals QI; this keeps the values
@@ -153,11 +153,8 @@ class _Ranked:
     def __init__(self, values: tuple, scores: tuple = ()):
         self.values = values
         self.scores = [*scores, *((i, (i,)) for i in range(len(scores), len(values)))]
+        self.keys = [(s, i) for s, (_, ranked) in enumerate(self.scores) for i in ranked]
         self.pairs: dict = {}  # (score, value) -> (bounds, run sums, centred column)
-
-    def __iter__(self):
-        """Every array the view has built."""
-        return (a for p in self.pairs.values() for a in p if a is not None)
 
     def pair(self, s: int, i: int):
         """(score s's tied-run bounds or None, column i in its order centred and summed over
@@ -214,15 +211,15 @@ class _Ranked:
         twice_mid = bounds[:-1] + bounds[1:] - 1
         return _dot(sums, 0.5 * (other[twice_mid // 2] + other[(twice_mid + 1) // 2]))
 
-    def cell_dots(self, h: Distribution) -> np.ndarray:
+    def cell_dots(self, h: Distribution, columns=None) -> np.ndarray:
         """dots[s, i]: column i in score s's order against H's centred cells at those ranks,
-        for every pair: one ``_cell_dots`` pass of H's cells per column size."""
-        for s in range(len(self.scores)):
-            self.pair(s, s)
+        for every pair of the given columns (all by default): one ``_cell_dots`` pass of H's
+        cells per column size."""
+        keys = [k for k in self.keys if columns is None or k[1] in columns]
         dots = np.zeros((len(self.scores), len(self.values)))
-        for n in dict.fromkeys(c.size for c in self.values):
-            keys = [k for k in self.pairs if self.values[k[1]].size == n]
-            dots[tuple(zip(*keys))] = _cell_dots(h, n, *(self.pairs[k][:2] for k in keys))
+        for n in dict.fromkeys(self.values[i].size for _, i in keys):
+            sized = [k for k in keys if self.values[k[1]].size == n]
+            dots[tuple(zip(*sized))] = _cell_dots(h, n, *(self.pair(*k)[:2] for k in sized))
         dots[:, self._moments[2]] = 0.0
         return dots
 
@@ -279,11 +276,11 @@ def estimate_named(sample: PairedSample, which: str, nu: float | None = None) ->
         raise DomainError(f"the weight nu applies only to egini, not to {which!r}")
     if which not in ("pearson", "rho_t"):
         return estimate_beta_h(sample, named_transform(which, nu).h)
-    view = _sample_view(sample)
+    ev = _Sampled(_sample_view(sample), _COLUMNS)
     if which == "pearson":  # no ranks
-        return _Sampled(view, _COLUMNS).pearson()
-    _warn_ties(view)
-    return _Sampled(view, _COLUMNS).rho_t()
+        return ev.pearson()
+    _warn_ties(ev.view)
+    return ev.rho_t()
 
 
 def _parsed(fh) -> np.ndarray | None:
@@ -309,8 +306,8 @@ def load_pairs_csv(path: str) -> PairedSample:
     """Read a two-column CSV in UTF-8 (a BOM is allowed): rows of two finite numbers that
     ``float`` reads, blank rows, and on line 1 an optional header of two fields.  A valid file
     takes numpy's C reader, which reads a subset of what ``float`` reads and rounds alike; the
-    row loop raises DomainError naming the first byte that is not UTF-8, or the 1-based lines
-    of every malformed row (wrong arity, non-numeric, or non-finite such as ``nan``).
+    row loop raises DomainError naming the first byte that is not UTF-8, or the line each bad
+    row starts on (wrong arity, non-numeric, non-finite such as ``nan``, or refused by csv).
     """
     xs, ys, bad = [], [], []
     with open(path, encoding="utf-8-sig", newline="") as fh:
@@ -319,7 +316,9 @@ def load_pairs_csv(path: str) -> PairedSample:
             if pairs is not None:
                 return PairedSample(*pairs.T)
             fh.seek(0)
-            for lineno, row in enumerate(csv.reader(fh), start=1):
+            reader, start = csv.reader(fh), 1
+            for row in reader:  # a record is named by the line it starts on
+                lineno, start = start, reader.line_num + 1
                 try:  # parse first; a row that fails is blank, a header or bad
                     x, y = row
                     x, y = float(x), float(y)
@@ -331,6 +330,8 @@ def load_pairs_csv(path: str) -> PairedSample:
                     bad.append(lineno)
                 xs.append(x)
                 ys.append(y)
+        except csv.Error as exc:  # a field over csv's size limit; on Python 3.10, a NUL byte
+            raise DomainError(f"malformed row at line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:  # exc.object ends at the file's read position
             at = fh.buffer.tell() - len(exc.object) + exc.start
             raise DomainError(f"{path} is not UTF-8 text at byte offset {at}") from None

@@ -5,8 +5,10 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -424,6 +426,27 @@ def test_an_input_that_is_not_utf8_is_a_usage_error_without_a_traceback(capsys, 
     code, out, err = run_cli(capsys, "estimate", "--input", str(path), "--named", "gini")
     assert code == 1 and out == ""
     assert err == f"qtcorr: error: {path} is not UTF-8 text at byte offset 11\n"
+
+
+def test_a_nul_byte_is_a_usage_error_naming_its_line(capsys, tmp_path):
+    # Python 3.10's csv refuses the byte, later versions read a malformed row
+    path = tmp_path / "pairs.csv"
+    path.write_bytes(b"x,y\n1,2\n3,4\n5,6\nbad\0,1\n")
+    code, out, err = run_cli(capsys, "estimate", "--input", str(path), "--named", "gini")
+    assert code == 1 and out == ""
+    assert err.startswith("qtcorr: error: ") and err.count("\n") == 1
+    assert re.search(r"\bline(\(s\):)? 5\b", err)
+
+
+def test_a_library_warning_prints_as_one_line(capsys, tmp_path):
+    path = tmp_path / "pairs.csv"
+    path.write_text("x,y\n1,1\n2,1\n3,2\n4,3\n")
+    shown = warnings.showwarning
+    for _ in range(2):  # and again on the next command in the same process
+        code, out, err = run_cli(capsys, "estimate", "--input", str(path), "--named", "gini")
+        assert code == 0 and out.startswith("estimate ")
+        assert err == "qtcorr: warning: ties in the y column resolved by average ranks\n"
+    assert warnings.showwarning is shown  # library callers keep Python's display
 
 
 def test_numerical_failure_exit_code(capsys):

@@ -510,6 +510,28 @@ def test_monte_carlo_symmetric_parts_share_one_draw(monkeypatch):
     assert draws == []
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [IntegrationConfig(), IntegrationConfig(method="monte_carlo", mc_samples=5_000, seed=3)],
+    ids=["quadrature", "monte-carlo"],
+)
+def test_the_evaluators_tau_and_nu_are_the_module_functions(cfg):
+    model = BivariateModel(GumbelBarnett(1.0), Weibull(1, 2), Weibull(1, 0.5))
+    spec = named_transform("cre_based")
+    _evaluator.cache_clear()
+    tau, nu = symmetric_tau(model, spec, cfg), symmetric_nu(model, spec, cfg)
+    b_xy, b_yx = beta_h(model, spec, cfg), beta_h_reversed(model, spec, cfg)
+    ev = _evaluator(model, cfg)
+    eta_x, eta_y = ev.coupled(0, spec), ev.coupled(1, spec)
+    assert tau == 0.5 * (b_xy + b_yx)
+    assert nu == (eta_x * b_xy + eta_y * b_yx) / (eta_x + eta_y)
+    assert symmetric_nu_bar(model, spec, cfg) == 1.0 - nu
+    _evaluator.cache_clear()  # a fresh evaluator, asked for tau and nu first
+    ev = _evaluator(model, cfg)
+    assert (ev.tau(spec), ev.nu(spec)) == (tau, nu)
+    _evaluator.cache_clear()
+
+
 def _all_indices(model, spec, cfg):
     directed = [f(model, spec, cfg) for f in (beta_h, beta_h_reversed)]
     paired = [f(model, cfg) for f in (pearson, rho_t)]
@@ -569,7 +591,8 @@ def test_monte_carlo_sample_is_read_only():
     spec = named_transform("cre_based")
     before = _all_indices(model, spec, cfg)
     ev = _evaluator(model, cfg)
-    for arr in (ev.x, ev.y, *ev.view):
+    built = (a for pair in ev.view.pairs.values() for a in pair if a is not None)
+    for arr in (*ev.view.values, *built):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -594,7 +617,8 @@ def test_gaussian_monte_carlo_keeps_normal_margins_in_normal_scores(monkeypatch)
         assert all(np.isfinite(_all_indices(model, named_transform("cre_based"), cfg)))
         ev = _evaluator(model, cfg)
         z, w = model.copula.scores(20_000, bivariate.child_rng(1, "correlation.beta_h"))
-        assert np.array_equal(ev.x, 0.5 + 2.0 * z) and np.array_equal(ev.y, -1.0 + 0.5 * w)
+        x, y = ev.view.values
+        assert np.array_equal(x, 0.5 + 2.0 * z) and np.array_equal(y, -1.0 + 0.5 * w)
         # a paired sample takes the same path
         z, w = model.copula.scores(1000, bivariate.child_rng(3, "bivariate.sample"))
         sample = model.sample(1000, seed=3)

@@ -213,6 +213,11 @@ def test_load_pairs_csv_skips_blank_rows_and_a_header(tmp_path, text):
         ("1.0,2.0\nnan,3\n4,inf\n-Infinity,2\n5,6\n", "2, 3, 4"),  # float() accepts these
         ("nan,3\n1.0,2.0\n", "1"),  # a non-finite line 1 is data, not a header
         ("1.0,2.0\noops,3.0\n4,INF\n", "2, 3"),
+        # a row is named by the line it starts on, and only line 1 may start a header
+        ('"a\nb",y\n1,2\noops,3\n4,5\n6,7\n', "4"),  # a header over lines 1 and 2
+        ('x,y\n1,2\n"3\n",4\noops,3\n4,5\n', "5"),  # a row over lines 3 and 4
+        ('x,y\n"1\n\n",oops\n3,4\n5,6\nnope,1\n', "2, 7"),  # a bad row over lines 2 to 4
+        ('1,2\n"x\n",y\n3,4\n5,6\n', "2"),
     ],
 )
 def test_load_pairs_csv_lists_malformed_lines(tmp_path, text, lines):
@@ -221,6 +226,39 @@ def test_load_pairs_csv_lists_malformed_lines(tmp_path, text, lines):
     with pytest.raises(DomainError) as err:
         load_pairs_csv(str(path))
     assert str(err.value) == f"non-numeric or malformed rows at line(s): {lines}"
+
+
+def test_a_csv_error_is_a_domain_error_naming_its_line(tmp_path, monkeypatch):
+    path = tmp_path / "pairs.csv"
+    path.write_text("x,y\n1,2\n3,4\n5,6\nbad\0,1\n7,8\n")
+    reader = csv.reader
+
+    class RefusingNul:  # as Python 3.10's reader meets a NUL byte
+        def __init__(self, fh):
+            self.rows, self.line_num = reader(fh), 0
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            row = next(self.rows)
+            self.line_num = self.rows.line_num
+            if any("\0" in field for field in row):
+                raise csv.Error("line contains NUL")
+            return row
+
+    monkeypatch.setattr(csv, "reader", RefusingNul)
+    with pytest.raises(DomainError) as err:
+        load_pairs_csv(str(path))
+    assert str(err.value) == "malformed row at line 5: line contains NUL"
+
+
+def test_an_oversized_field_is_a_domain_error_naming_its_line(tmp_path):
+    path = tmp_path / "pairs.csv"
+    path.write_text("x,y\n1,2\n3,4\n5," + "9" * 200_000 + "\n6,7\n")
+    with pytest.raises(DomainError) as err:
+        load_pairs_csv(str(path))
+    assert str(err.value).startswith("malformed row at line 4: field larger than field limit")
 
 
 # Files for the two readers: (id, text, whether numpy's reader takes it, None where that is
@@ -499,6 +537,31 @@ def test_pearson_reads_no_ranks(monkeypatch):
     assert sorts == []
 
 
+def test_a_beta_estimate_streams_only_the_two_pairs_it_reads(monkeypatch):
+    # x sorted and x in y's order; sorted y serves only rho_t and the tie warning
+    import qtcorr.estimation as estimation
+
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=100_000)
+    sample = PairedSample(x, x + rng.normal(size=100_000))
+    estimation._sample_view(sample)._moments  # the rank-free scan's dots, before counting
+    blocks, dots = [], []
+    cell_blocks, dot = estimation._cell_blocks, estimation._dot
+
+    def counted_blocks(h, n, *edges):
+        for item in cell_blocks(h, n, *edges):
+            blocks.append(item)
+            yield item
+
+    monkeypatch.setattr(estimation, "_cell_blocks", counted_blocks)
+    monkeypatch.setattr(estimation, "_dot", lambda a, b: dots.append(a.size) or dot(a, b))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # untied: every pair streams the cells
+        estimate_named(sample, "gini")
+    # one pass; its first item is the mean of all cells, then one dot per block and pair
+    assert len(blocks) > 2 and len(dots) == 2 * (len(blocks) - 1)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -636,7 +699,8 @@ def test_ranking_a_new_sample_first_releases_the_last_view(monkeypatch):
 
     a, b = (PairedSample(x, y) for x, y in list(_tied_columns())[1:])
     _sweep(a)
-    held = [weakref.ref(v) for v in _ranked(a) if isinstance(v, np.ndarray)]
+    built = (v for pair in _ranked(a).pairs.values() for v in pair)
+    held = [weakref.ref(v) for v in built if isinstance(v, np.ndarray)]
     alive_at_sort = []
     for name in ("sort", "argsort"):
         original = getattr(np, name)
@@ -988,7 +1052,8 @@ def test_monte_carlo_indices_are_the_estimators_on_their_draw(model, h):
     _evaluator.cache_clear()
     b_xy, b_yx, r, t = _mc_indices(model, CorrelationSpec(h))[:4]
     ev = _evaluator(model, _MC)
-    xy, yx = PairedSample(ev.x, ev.y), PairedSample(ev.y, ev.x)
+    x, y = ev.view.values
+    xy, yx = PairedSample(x, y), PairedSample(y, x)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # untied: no column pools a run
         want = [
@@ -1018,12 +1083,12 @@ def test_a_step_margin_is_ranked_by_its_scores(h):
         warnings.simplefilter("error")
         got = [beta_h(model, spec, _MC), beta_h_reversed(model, spec, _MC)]
     u, v = model.copula.scores(_MC.mc_samples, child_rng(_MC.seed, "correlation.beta_h"))
-    ev = _evaluator(model, _MC)
-    assert np.array_equal(ev.x, f.quantile(u)) and np.unique(ev.x).size == 20
+    x, y = _evaluator(model, _MC).view.values
+    assert np.array_equal(x, f.quantile(u)) and np.unique(x).size == 20
     hu, hv = _oracle_rank_stratum_values(h, u), _oracle_rank_stratum_values(h, v)
     want = [
-        np.cov(ev.x, hv)[0, 1] / np.cov(ev.x, hu)[0, 1],
-        np.cov(hu, ev.y)[0, 1] / np.cov(ev.y, hv)[0, 1],
+        np.cov(x, hv)[0, 1] / np.cov(x, hu)[0, 1],
+        np.cov(hu, y)[0, 1] / np.cov(y, hv)[0, 1],
     ]
     assert got == pytest.approx(want, rel=0.0, abs=1e-15)
 
@@ -1062,6 +1127,20 @@ def test_monte_carlo_indices_build_no_grid(monkeypatch, h):
     # one stream of the cells of H's standard shape (an Empirical H's centred values) for all
     # seven indices
     assert passes == [(h.standard_form[0], _MC.mc_samples)]
+
+
+def test_the_reversed_and_symmetric_indices_reuse_the_pass_of_beta_h(monkeypatch):
+    import qtcorr.estimation as estimation
+
+    model = BivariateModel(FGM(1.0), Exponential(1), Logistic(0, 1))
+    spec = CorrelationSpec(Exponential(1))
+    _evaluator.cache_clear()
+    passes = _count_grid_reads(monkeypatch, estimation)
+    beta_h(model, spec, _MC)
+    assert len(passes) == 1  # x and y at the ranks of u and of v: the draw's four pairs
+    for index in (beta_h_reversed, symmetric_tau, symmetric_nu):
+        index(model, spec, _MC)
+    assert len(passes) == 1
 
 
 @pytest.mark.parametrize("g", [Exponential(1), Pareto(0.5)])
